@@ -6,6 +6,9 @@ A case regresses when, beyond the tolerance (default 10 %):
 * ``p50_us`` or ``p99_us`` rises (latency is better-lower) — including
   from a zero baseline, where no finite ratio exists but the change is
   still reported and gated,
+* ``events`` (kernel events processed) differs at all, in either
+  direction — the count is deterministic, so any drift means the
+  simulation itself changed; tolerance does not apply,
 * the case is missing from the current run entirely.
 
 ``events_per_sec`` is wall-clock dependent (host load, hardware), so it
@@ -28,6 +31,8 @@ DEFAULT_TOLERANCE = 0.10
 
 #: metric name -> True when higher values are better.
 GATED_METRICS = {"gbps": True, "p50_us": False, "p99_us": False}
+#: Deterministic counts gated at zero tolerance in both directions.
+EXACT_METRICS = ("events",)
 INFO_METRICS = ("events_per_sec",)
 
 
@@ -43,10 +48,19 @@ class Delta:
     ratio: Optional[float]
     regressed: bool
     gated: bool
+    #: Gated by equality rather than by the tolerance.
+    exact: bool = False
 
     def describe(self) -> str:
         if self.baseline is None or self.current is None:
             return f"{self.case}.{self.metric}: skipped (no data)"
+        if self.exact:
+            drift = self.current - self.baseline
+            verdict = f"drift {drift:+.15g} REGRESSION" if drift else "match"
+            return (
+                f"{self.case}.{self.metric}: {self.baseline:.15g} -> "
+                f"{self.current:.15g} (exact, {verdict})"
+            )
         if self.ratio is None:
             pct = "from zero" if self.current != 0 else "n/a"
         else:
@@ -147,6 +161,18 @@ def compare_bench(
                 regressed = ratio > tolerance
             cmp.deltas.append(
                 Delta(name, metric, float(b), float(c), ratio, regressed, True)
+            )
+        for metric in EXACT_METRICS:
+            b, c = base.get(metric), cur.get(metric)
+            if b is None or c is None:
+                cmp.deltas.append(
+                    Delta(name, metric, b, c, None, False, True, exact=True)
+                )
+                continue
+            ratio = _relative_change(float(b), float(c))
+            cmp.deltas.append(
+                Delta(name, metric, float(b), float(c), ratio, b != c, True,
+                      exact=True)
             )
         for metric in INFO_METRICS:
             b, c = base.get(metric), cur.get(metric)

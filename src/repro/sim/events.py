@@ -2,7 +2,7 @@
 
 An :class:`Event` is a one-shot occurrence with an optional value.  Events
 move through three states: *pending* (created, not yet triggered),
-*triggered* (scheduled on the engine's heap with a value or exception) and
+*triggered* (scheduled on the engine's queue with a value or exception) and
 *processed* (callbacks have run).  Processes wait on events by ``yield``-ing
 them; the engine resumes the process when the event is processed.
 """
@@ -56,7 +56,7 @@ class Event:
         self._ok: Optional[bool] = None
         self._defused = False
         #: Lazy tombstone: a cancelled event stays queued but is skipped
-        #: (no callbacks) when its heap/wheel entry surfaces.
+        #: (no callbacks) when its queue entry surfaces.
         self._cancelled = False
 
     # -- state inspection --------------------------------------------------
@@ -87,11 +87,12 @@ class Event:
     # -- triggering --------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise RuntimeError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.engine._push(self)
+        engine = self.engine
+        engine._schedule(self, engine._now)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -103,11 +104,12 @@ class Event:
         """
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
-        if self.triggered:
+        if self._value is not _PENDING:
             raise RuntimeError(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
-        self.engine._push(self)
+        engine = self.engine
+        engine._schedule(self, engine._now)
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -149,18 +151,26 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed simulated delay."""
+    """An event that fires after a fixed simulated delay.
+
+    Born triggered: the constructor sets every slot itself (no
+    ``Event.__init__`` call) because timers are the kernel's most
+    frequently built object.
+    """
 
     __slots__ = ("delay",)
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay!r}")
-        super().__init__(engine)
-        self.delay = delay
-        self._ok = True
+        self.engine = engine
+        self.callbacks = []
         self._value = value
-        engine._push_timer(self, delay)
+        self._ok = True
+        self._defused = False
+        self._cancelled = False
+        self.delay = delay
+        engine._schedule(self, engine._now + delay)
 
     def cancel(self) -> bool:
         """Cancel a timer that has not fired yet.
@@ -192,15 +202,17 @@ class TimeoutAt(Timeout):
     __slots__ = ()
 
     def __init__(self, engine: "Engine", when: float, value: Any = None) -> None:
-        if when < engine.now:
-            raise ValueError(
-                f"timeout_at in the past: {when!r} < now={engine.now!r}"
-            )
-        Event.__init__(self, engine)
-        self.delay = when - engine.now
-        self._ok = True
+        now = engine._now
+        if when < now:
+            raise ValueError(f"timeout_at in the past: {when!r} < now={now!r}")
+        self.engine = engine
+        self.callbacks = []
         self._value = value
-        engine._push_timer_at(self, when)
+        self._ok = True
+        self._defused = False
+        self._cancelled = False
+        self.delay = when - now
+        engine._schedule(self, when)
 
 
 class Condition(Event):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.sim.events import Event, StopEngine
+from repro.sim.events import _PENDING, Event, StopEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine
@@ -39,7 +39,14 @@ class Process(Event):
             raise TypeError(
                 f"process requires a generator, got {type(generator).__name__}"
             )
-        super().__init__(engine)
+        # Slots are set directly (no ``Event.__init__`` chain): spawning
+        # is on the kernel's hot path.
+        self.engine = engine
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._defused = False
+        self._cancelled = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         # Bootstrap: resume on the next engine step at the current time.
@@ -47,12 +54,15 @@ class Process(Event):
         # must observe whatever the spawner does *after* the spawn call
         # (the broker mutates shared state post-spawn), so eager start
         # is the one fast-forward that would change semantics.
-        start = Event(engine)
-        start._ok = True
+        start = Event.__new__(Event)
+        start.engine = engine
+        start.callbacks = [self._resume]
         start._value = None
-        start.callbacks.append(self._resume)
-        engine._push(start)
+        start._ok = True
+        start._defused = False
+        start._cancelled = False
         self._waiting_on: Optional[Event] = start
+        engine._schedule(start, engine._now)
 
     @property
     def is_alive(self) -> bool:

@@ -135,6 +135,30 @@ def test_events_per_sec_is_informational_only():
     assert compare_bench(base, cur).ok
 
 
+@pytest.mark.parametrize("drift", [1, -1])
+def test_events_drift_either_way_is_a_regression(drift):
+    # The event count is deterministic: one event more or fewer means
+    # the simulation changed, whatever the tolerance.
+    base, cur = _doc(), _doc()
+    cur["results"]["case_a"]["events"] += drift
+    cmp = compare_bench(base, cur, tolerance=0.5)
+    assert not cmp.ok
+    assert [(d.case, d.metric) for d in cmp.regressions] == [("case_a", "events")]
+    delta = cmp.regressions[0]
+    assert delta.exact
+    assert f"1000 -> {1000 + drift} (exact, drift {drift:+d} REGRESSION)" in delta.describe()
+
+
+def test_matching_events_describe_as_exact():
+    doc = _doc()
+    cmp = compare_bench(doc, doc)
+    described = [d.describe() for d in cmp.deltas if d.metric == "events"]
+    assert described == [
+        "case_a.events: 1000 -> 1000 (exact, match)",
+        "case_b.events: 500 -> 500 (exact, match)",
+    ]
+
+
 def test_missing_case_is_a_regression_and_new_case_is_not():
     base, cur = _doc(), _doc()
     del cur["results"]["case_b"]

@@ -1,18 +1,21 @@
-"""Kernel fast path: timer cancellation, the timer wheel, and dispatch.
+"""Kernel fast path: timer cancellation, queue edges, and dispatch order.
 
 The contract under test is bit-identity: cancellation must not change
 the clock or the processed-event count (tombstones still dispatch), and
-an engine with the wheel disabled must produce exactly the same
-simulation as one with it enabled.
+the single-heap kernel must dispatch in exactly ``(time, insertion
+order)``, matching the golden trace recorded on the earlier kernel.
 """
 
 from __future__ import annotations
+
+import hashlib
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import AnyOf, Engine
+from repro.sim import AnyOf, Engine, SimulationError, Timeout
 
 
 # -- Timeout.cancel ----------------------------------------------------------
@@ -112,10 +115,10 @@ def test_failed_condition_detaches_from_pending_children(engine):
     assert pending.callbacks == []
 
 
-# -- wheel-on vs heap-only determinism ---------------------------------------
+# -- golden dispatch order --------------------------------------------------
 
 def _mixed_workload(engine: Engine, log):
-    """Timers on and off the wheel horizon, cancellations, and races."""
+    """Short periodic timers, long sleepers, cancellations, and races."""
 
     def short(i):
         for k in range(20):
@@ -136,7 +139,6 @@ def _mixed_workload(engine: Engine, log):
 
     def long_timer(i):
         for k in range(3):
-            # Far beyond the wheel horizon: exercises the heap path.
             yield engine.timeout(0.4 + i * 1e-3)
             log.append(("l", i, k, engine.now))
 
@@ -147,18 +149,23 @@ def _mixed_workload(engine: Engine, log):
     engine.process(long_timer(1))
 
 
-def _run_workload(use_wheel: bool):
-    engine = Engine(use_wheel=use_wheel)
+#: ``(sha256 of repr(log), now, events_processed)`` of the mixed workload,
+#: recorded on the earlier two-queue kernel (a timer wheel merged with the
+#: heap), whose wheel-on and heap-only modes agreed bit for bit.
+_MIXED_GOLDEN = (
+    "0e8584a78f9262ba221bb1f3d551e738ea1ba160b6e824420363852099729f91",
+    1.203,
+    212,
+)
+
+
+def test_mixed_workload_matches_recorded_golden():
+    engine = Engine()
     log = []
     _mixed_workload(engine, log)
     engine.run()
-    return log, engine.now, engine.events_processed
-
-
-def test_wheel_and_heap_only_engines_are_bit_identical():
-    wheel = _run_workload(use_wheel=True)
-    heap = _run_workload(use_wheel=False)
-    assert wheel == heap
+    digest = hashlib.sha256(repr(log).encode()).hexdigest()
+    assert (digest, engine.now, engine.events_processed) == _MIXED_GOLDEN
 
 
 def test_run_until_puts_overshooting_timer_back(engine):
@@ -169,6 +176,49 @@ def test_run_until_puts_overshooting_timer_back(engine):
     engine.run()
     assert engine.now == 2.0
     assert t.processed
+
+
+# -- queue edges ---------------------------------------------------------------
+
+def test_step_on_empty_queue_raises(engine):
+    with pytest.raises(SimulationError, match="empty event queue"):
+        engine.step()
+    engine.timeout(1.0)
+    engine.step()
+    assert engine.now == 1.0 and engine.events_processed == 1
+    with pytest.raises(SimulationError):
+        engine.step()
+
+
+def test_peek_is_inf_when_empty(engine):
+    assert engine.peek() == math.inf
+    engine.timeout(2.0)
+    engine.timeout(0.5)
+    assert engine.peek() == 0.5
+    engine.run()
+    assert engine.peek() == math.inf
+
+
+def test_event_due_exactly_at_until_fires(engine):
+    fired = []
+    t = engine.timeout(1.0)
+    t.add_callback(lambda ev: fired.append(engine.now))
+    engine.run(until=1.0)
+    assert fired == [1.0] and t.processed
+    assert engine.now == 1.0 and engine.events_processed == 1
+
+
+def test_stop_from_callback_counts_the_stopping_event(engine):
+    for delay in (1.0, 2.0, 3.0):
+        t = engine.timeout(delay)
+        if delay == 2.0:
+            t.add_callback(lambda ev: engine.stop())
+    engine.run()
+    assert engine.now == 2.0
+    assert engine.events_processed == 2
+    engine.run()
+    assert engine.now == 3.0
+    assert engine.events_processed == 3
 
 
 # -- hypothesis: interleaved cancel/succeed/fail sequences -------------------
@@ -185,49 +235,72 @@ def test_run_until_puts_overshooting_timer_back(engine):
         max_size=40,
     )
 )
-def test_interleavings_match_between_wheel_and_heap(ops):
-    def execute(use_wheel: bool):
-        engine = Engine(use_wheel=use_wheel)
-        log = []
-        timers = {}
+def test_interleavings_follow_the_dispatch_spec(ops):
+    """Check the kernel against its specification, op list by op list.
 
-        def driver():
-            for n, (op, slot, delay) in enumerate(ops):
-                if op == "timer":
-                    t = engine.timeout(delay)
-                    t.add_callback(
-                        lambda ev, n=n: log.append(("fire", n, engine.now))
-                    )
-                    timers[slot] = t
-                elif op == "cancel":
-                    t = timers.get(slot)
-                    if t is not None:
-                        log.append(("cancel", n, t.cancel()))
-                elif op == "succeed":
-                    ev = engine.event()
-                    ev.succeed(n)
+    Every watched event fires at exactly the time it was scheduled for,
+    in ``(time, scheduling order)`` order; cancelled timers run no
+    callbacks but still advance the clock and count as processed.
+    """
+    engine = Engine()
+    fired = []  # (due, seq, now) in dispatch order
+    scheduled = {}  # seq -> due
+    cancelled = set()
+    timers = {}  # slot -> (timer, seq)
+    # Bootstrap and completion of the driver process itself.
+    expected_events = 2
+
+    def watch(ev):
+        seq = len(scheduled)
+        due = engine.now if not isinstance(ev, Timeout) else engine.now + ev.delay
+        scheduled[seq] = due
+        ev.add_callback(lambda _ev: fired.append((due, seq, engine.now)))
+        return seq
+
+    def driver():
+        nonlocal expected_events
+        for n, (op, slot, delay) in enumerate(ops):
+            if op == "timer":
+                t = engine.timeout(delay)
+                timers[slot] = (t, watch(t))
+                expected_events += 1
+            elif op == "cancel":
+                if slot in timers:
+                    t, seq = timers[slot]
+                    if t.cancel():
+                        cancelled.add(seq)
+            elif op == "succeed":
+                ev = engine.event()
+                ev.succeed(n)
+                watch(ev)
+                expected_events += 1
+                assert (yield ev) == n
+            elif op == "fail":
+                ev = engine.event()
+                ev.defuse()
+                ev.fail(RuntimeError(str(n)))
+                watch(ev)
+                expected_events += 1
+                with pytest.raises(RuntimeError):
                     yield ev
-                    log.append(("ok", n, engine.now))
-                elif op == "fail":
-                    ev = engine.event()
-                    ev.defuse()
-                    ev.fail(RuntimeError(str(n)))
-                    try:
-                        yield ev
-                    except RuntimeError:
-                        log.append(("err", n, engine.now))
-                else:  # race
-                    reply = engine.event()
-                    t = engine.timeout(delay)
-                    if slot % 2:
-                        reply.succeed(n)
-                    yield AnyOf(engine, [reply, t])
-                    if reply.triggered:
-                        t.cancel()
-                    log.append(("race", n, engine.now))
+            else:  # race: a reply (maybe) against a timer, then the AnyOf
+                reply = engine.event()
+                t = engine.timeout(delay)
+                seq = watch(t)
+                expected_events += 2
+                if slot % 2:
+                    reply.succeed(n)
+                    expected_events += 1
+                yield AnyOf(engine, [reply, t])
+                if reply.triggered:
+                    assert t.cancel()
+                    cancelled.add(seq)
 
-        engine.process(driver())
-        engine.run()
-        return log, engine.now, engine.events_processed
-
-    assert execute(True) == execute(False)
+    engine.process(driver())
+    engine.run()
+    assert all(due == now for due, _, now in fired)
+    assert fired == sorted(fired)
+    assert {seq for _, seq, _ in fired} == set(scheduled) - cancelled
+    # Tombstones advanced the clock and were counted.
+    assert engine.now == max(scheduled.values(), default=0.0)
+    assert engine.events_processed == expected_events
