@@ -50,6 +50,103 @@ def parse_size(text: str) -> int:
     return result
 
 
+# -- argparse boundary: malformed input exits 2 with one line, no traceback --
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a single ``prog: error: ...`` line on
+    stderr and exits 2 (subparsers inherit the class)."""
+
+    def error(self, message: str):  # type: ignore[override]
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _size(text: str) -> int:
+    """argparse type: a positive byte size ('4M', '8G')."""
+    try:
+        return parse_size(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _number(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if value != value:  # NaN
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    return value
+
+
+def _rate(text: str) -> float:
+    """argparse type: a probability in [0, 1]."""
+    value = _number(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
+def _instant(text: str) -> float:
+    """argparse type: a sim time in seconds, >= 0."""
+    value = _number(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
+def _flap(text: str) -> tuple:
+    """argparse type: 'START:DURATION' seconds, duration > 0."""
+    start, sep, duration = text.partition(":")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected START:DURATION, got {text!r}")
+    span = _number(duration)
+    if span <= 0:
+        raise argparse.ArgumentTypeError(f"flap duration must be > 0, got {text!r}")
+    return (_instant(start), span)
+
+
+def _qp_kill(text: str) -> tuple:
+    """argparse type: 'T:INDEX' (sim seconds, data-channel index)."""
+    when, sep, index = text.partition(":")
+    if not sep or not index.isdigit():
+        raise argparse.ArgumentTypeError(f"expected T:INDEX, got {text!r}")
+    return (_instant(when), int(index))
+
+
+def _json_object(text: str) -> dict:
+    """argparse type: a JSON object of OverloadConfig keys."""
+    from repro.sched.overload import OverloadConfig
+
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(f"invalid JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise argparse.ArgumentTypeError("must be a JSON object")
+    try:
+        OverloadConfig.from_spec(value)
+    except (TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
+def _tenants(text: str) -> dict:
+    """argparse type: 'gold:3,bronze:1' -> {'gold': 3.0, 'bronze': 1.0}."""
+    tenants = {}
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        name, _, weight = part.partition(":")
+        if not name:
+            raise argparse.ArgumentTypeError(f"bad tenant spec {part!r}")
+        tenants[name] = _number(weight) if weight else 1.0
+        if tenants[name] <= 0:
+            raise argparse.ArgumentTypeError(f"tenant weight must be > 0: {part!r}")
+    if not tenants:
+        raise argparse.ArgumentTypeError("no tenants parsed")
+    return tenants
+
+
 def _add_testbed_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--testbed",
@@ -87,14 +184,14 @@ def _cmd_testbeds(args: argparse.Namespace) -> int:
 def _cmd_rftp(args: argparse.Namespace) -> int:
     tb = TESTBEDS[args.testbed](seed=args.seed, with_disk=args.disk)
     config = ProtocolConfig(
-        block_size=parse_size(args.block_size),
+        block_size=args.block_size,
         num_channels=args.channels,
         source_blocks=args.pool,
         sink_blocks=args.pool,
         proactive_credits=not args.on_demand_credits,
     )
     sink = DiskSink(tb.dst, direct=not args.posix) if args.disk else None
-    result = run_rftp(tb, parse_size(args.bytes), config, sink=sink)
+    result = run_rftp(tb, args.bytes, config, sink=sink)
     o = result.outcome
     print(f"{result.gbps:.2f} Gbps over {tb.name} "
           f"({100 * result.gbps / tb.bare_metal_gbps:.0f}% of bare metal)")
@@ -118,9 +215,9 @@ def _cmd_gridftp(args: argparse.Namespace) -> int:
     tb = TESTBEDS[args.testbed](seed=args.seed)
     result = run_gridftp(
         tb,
-        parse_size(args.bytes),
+        args.bytes,
         streams=args.streams,
-        block_size=parse_size(args.block_size),
+        block_size=args.block_size,
         cc=args.cc,
     )
     print(f"{result.gbps:.2f} Gbps over {tb.name} with {args.streams} stream(s)")
@@ -137,7 +234,7 @@ def _cmd_fio(args: argparse.Namespace) -> int:
         tb,
         FioJob(
             semantics=args.semantics,
-            block_size=parse_size(args.block_size),
+            block_size=args.block_size,
             iodepth=args.iodepth,
             total_blocks=args.blocks,
         ),
@@ -218,16 +315,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         ctrl_drop_rate=args.ctrl_drop_rate,
         ctrl_delay_rate=args.ctrl_delay_rate,
         latency_spike_rate=args.latency_spike_rate,
-        link_flaps=tuple(
-            tuple(float(x) for x in flap.split(":", 1)) for flap in args.link_flap
-        ),
+        link_flaps=tuple(args.link_flap),
         payload_corrupt_rate=args.payload_corrupt_rate,
-        sink_crashes=tuple(float(x) for x in args.sink_crash),
-        source_crashes=tuple(float(x) for x in args.source_crash),
-        qp_kills=tuple(
-            (float(kill.split(":", 1)[0]), int(kill.split(":", 1)[1]))
-            for kill in args.qp_kill
-        ),
+        sink_crashes=tuple(args.sink_crash),
+        source_crashes=tuple(args.source_crash),
+        qp_kills=tuple(args.qp_kill),
         heartbeat_drop_rate=args.heartbeat_drop_rate,
         fallback_deny=args.deny_fallback,
     )
@@ -243,7 +335,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         config = ProtocolConfig(**overrides)
     result = run_chaos(
         args.testbed,
-        total_bytes=parse_size(args.bytes),
+        total_bytes=args.bytes,
         plan=plan,
         config=config,
         horizon=args.horizon,
@@ -287,22 +379,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if result.clean else 1
 
 
-def _parse_tenants(text: str) -> dict:
-    """Parse 'gold:3,bronze:1' into {'gold': 3.0, 'bronze': 1.0}."""
-    tenants = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, _, weight = part.partition(":")
-        if not name:
-            raise ValueError(f"bad tenant spec {part!r}")
-        tenants[name] = float(weight) if weight else 1.0
-    if not tenants:
-        raise ValueError("no tenants parsed")
-    return tenants
-
-
 def _cmd_sched(args: argparse.Namespace) -> int:
     from repro.analysis.report import Table
     from repro.sched import (
@@ -314,13 +390,7 @@ def _cmd_sched(args: argparse.Namespace) -> int:
         write_report,
     )
 
-    overload_overrides = None
-    if args.overload is not None:
-        overload_overrides = json.loads(args.overload)
-        if not isinstance(overload_overrides, dict):
-            print("error: --overload must be a JSON object", file=sys.stderr)
-            return 2
-
+    overload_overrides = args.overload
     spec = None
     if args.spec:
         spec = load_spec(args.spec)
@@ -332,7 +402,7 @@ def _cmd_sched(args: argparse.Namespace) -> int:
         spec = overload_spec(
             seed=args.seed,
             total_files=args.files if args.files is not None else 600,
-            tenants=_parse_tenants(args.tenants),
+            tenants=args.tenants,
             testbed=args.testbed,
             doors=args.doors,
             max_active=args.max_active,
@@ -344,7 +414,7 @@ def _cmd_sched(args: argparse.Namespace) -> int:
         spec = synthetic_spec(
             seed=args.seed,
             total_files=files,
-            tenants=_parse_tenants(args.tenants),
+            tenants=args.tenants,
             testbed=args.testbed,
             doors=args.doors,
             max_active=args.max_active,
@@ -539,7 +609,7 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="SC 2012 RDMA middleware reproduction — simulated testbed runner",
     )
@@ -549,8 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rftp", help="run an RFTP transfer")
     _add_testbed_arg(p)
-    p.add_argument("--bytes", default="1G", help="dataset size (e.g. 8G)")
-    p.add_argument("--block-size", default="4M")
+    p.add_argument("--bytes", type=_size, default="1G", help="dataset size (e.g. 8G)")
+    p.add_argument("--block-size", type=_size, default="4M")
     p.add_argument("--channels", type=int, default=4)
     p.add_argument("--pool", type=int, default=32, help="source/sink block pool size")
     p.add_argument("--disk", action="store_true", help="write to the RAID sink")
@@ -565,8 +635,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gridftp", help="run the GridFTP baseline")
     _add_testbed_arg(p)
-    p.add_argument("--bytes", default="1G")
-    p.add_argument("--block-size", default="1M")
+    p.add_argument("--bytes", type=_size, default="1G")
+    p.add_argument("--block-size", type=_size, default="1M")
     p.add_argument("--streams", type=int, default=1)
     p.add_argument("--cc", default=None, help="override congestion control")
     _add_export_args(p)
@@ -575,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fio", help="run the RDMA I/O engine")
     _add_testbed_arg(p)
     p.add_argument("--semantics", choices=("write", "read", "send"), default="write")
-    p.add_argument("--block-size", default="128K")
+    p.add_argument("--block-size", type=_size, default="128K")
     p.add_argument("--iodepth", type=int, default=16)
     p.add_argument("--blocks", type=int, default=2000)
     _add_export_args(p)
@@ -594,25 +664,29 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="run a transfer under deterministic fault injection"
     )
     _add_testbed_arg(p)
-    p.add_argument("--bytes", default="256M", help="dataset size (e.g. 256M)")
-    p.add_argument("--write-fault-rate", type=float, default=0.0,
+    p.add_argument("--bytes", type=_size, default="256M",
+                   help="dataset size (e.g. 256M)")
+    p.add_argument("--write-fault-rate", type=_rate, default=0.0,
                    help="probability an RDMA WRITE fails transiently")
-    p.add_argument("--ctrl-drop-rate", type=float, default=0.0,
+    p.add_argument("--ctrl-drop-rate", type=_rate, default=0.0,
                    help="probability a droppable control message is lost")
-    p.add_argument("--ctrl-delay-rate", type=float, default=0.0,
+    p.add_argument("--ctrl-delay-rate", type=_rate, default=0.0,
                    help="probability a control message is delayed")
-    p.add_argument("--latency-spike-rate", type=float, default=0.0,
+    p.add_argument("--latency-spike-rate", type=_rate, default=0.0,
                    help="probability a link serialisation picks up a spike")
-    p.add_argument("--link-flap", action="append", default=[],
+    p.add_argument("--link-flap", type=_flap, action="append", default=[],
                    metavar="START:DURATION",
                    help="schedule a link outage (seconds); repeatable")
-    p.add_argument("--payload-corrupt-rate", type=float, default=0.0,
+    p.add_argument("--payload-corrupt-rate", type=_rate, default=0.0,
                    help="probability an RDMA WRITE lands silently corrupted")
-    p.add_argument("--sink-crash", action="append", default=[], metavar="T",
+    p.add_argument("--sink-crash", type=_instant, action="append", default=[],
+                   metavar="T",
                    help="crash the sink process at sim-time T; repeatable")
-    p.add_argument("--source-crash", action="append", default=[], metavar="T",
+    p.add_argument("--source-crash", type=_instant, action="append", default=[],
+                   metavar="T",
                    help="crash the source process at sim-time T; repeatable")
-    p.add_argument("--qp-kill", action="append", default=[], metavar="T:INDEX",
+    p.add_argument("--qp-kill", type=_qp_kill, action="append", default=[],
+                   metavar="T:INDEX",
                    help="kill data channel INDEX at sim-time T; repeatable")
     p.add_argument("--resume-attempts", type=int, default=0,
                    help="SESSION_RESUME retries after a typed abort")
@@ -620,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seconds to wait before each resume attempt")
     p.add_argument("--no-repair", action="store_true",
                    help="ablation: disable checksum-NACK block repair")
-    p.add_argument("--heartbeat-drop-rate", type=float, default=0.0,
+    p.add_argument("--heartbeat-drop-rate", type=_rate, default=0.0,
                    help="probability a PING/PONG is lost after posting")
     p.add_argument("--deny-fallback", action="store_true",
                    help="sink denies every TRANSPORT_FALLBACK_REQ")
@@ -643,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "mix on the ANI WAN")
     p.add_argument("--files", type=int, default=None,
                    help="synthetic mix size (overrides --quick's 1000)")
-    p.add_argument("--tenants", default="gold:3,bronze:1",
+    p.add_argument("--tenants", type=_tenants, default="gold:3,bronze:1",
                    metavar="NAME:WEIGHT[,NAME:WEIGHT...]",
                    help="synthetic mix tenants (default gold:3,bronze:1)")
     p.add_argument("--testbed", choices=sorted(TESTBEDS), default="ani-wan",
@@ -688,14 +762,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "open-loop arrivals spike to FACTOR× the base rate "
                         "with backpressure/shedding armed (see "
                         "repro.sched.spec.overload_spec)")
-    p.add_argument("--overload", metavar="JSON", default=None,
+    p.add_argument("--overload", type=_json_object, metavar="JSON", default=None,
                    help="overload-control overrides for --spike (JSON "
                         "object of repro.sched.overload.OverloadConfig "
                         "keys), or a full config to arm on a --spec run")
     p.add_argument("--resubmit", type=int, default=None, metavar="N",
                    help="times the client resubmits a shed job after its "
                         "RETRY_AFTER hint (default: spec's resubmit_limit)")
-    p.add_argument("--attempt-fault-rate", type=float, default=None,
+    p.add_argument("--attempt-fault-rate", type=_rate, default=None,
                    metavar="P",
                    help="retry-storm chaos: probability each broker attempt "
                         "fails at the attempt boundary (burns retry budget, "

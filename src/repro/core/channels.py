@@ -105,9 +105,10 @@ class ControlChannel:
                 # is preserved — only this message's departure slips.
                 self._m_delayed.add()
                 yield self.engine.timeout(verdict)
-        self.engine.trace(
-            "ctrl", "send", type=msg.type.value, session=msg.session_id
-        )
+        if self.engine.tracer is not None:
+            self.engine.trace(
+                "ctrl", "send", type=msg.type.value, session=msg.session_id
+            )
         self.qp.post_send(
             SendWR(
                 opcode=Opcode.SEND,

@@ -105,10 +105,11 @@ class CreditLedger:
         self._m_received.add(len(credits))
         self._m_peak.set_max(self.balance)
         self.history.append((self.engine.now, self.total_received))
-        self.engine.trace(
-            "credits", "deposit",
-            granted=len(credits), balance=self.balance, total=self.total_received,
-        )
+        if self.engine.tracer is not None:
+            self.engine.trace(
+                "credits", "deposit",
+                granted=len(credits), balance=self.balance, total=self.total_received,
+            )
 
     def refund(self, credits: List[Credit]) -> None:
         """Return credits an aborted session never consumed.

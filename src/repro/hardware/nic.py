@@ -83,18 +83,27 @@ class Nic:
         self.wqes_processed = Counter(f"{name}.wqes")
         self.read_requests_served = Counter(f"{name}.reads")
 
+    # -- fluid booking ------------------------------------------------------------
+    def book_wqe(self) -> float:
+        """Fluid mode: book one WQE on the earliest-free pipeline.
+
+        Returns the absolute instant processing completes.  The caller
+        sleeps until then and adds to :attr:`wqes_processed` afterwards.
+        """
+        free = self._wqe_free
+        i = free.index(min(free))
+        now = self.engine._now
+        start = now if now > free[i] else free[i]
+        end = start + self.profile.wqe_seconds
+        free[i] = end
+        return end
+
     # -- hardware-timing primitives (process generators) ----------------------
     def process_wqe(self) -> Generator:
         """Occupy a NIC pipeline for one WQE's processing time."""
         engine = self.engine
         if engine.use_fluid:
-            free = self._wqe_free
-            i = free.index(min(free))
-            now = engine.now
-            start = now if now > free[i] else free[i]
-            end = start + self.profile.wqe_seconds
-            free[i] = end
-            yield engine.timeout_at(end)
+            yield engine.timeout_at(self.book_wqe())
             self.wqes_processed.add()
             return
         yield self._wqe_pipe.request()

@@ -37,6 +37,19 @@ class PcieBus:
         self._fluid_free = 0.0
         self.bytes_moved = Counter("pcie_bytes")
 
+    def book(self, nbytes: int) -> float:
+        """Fluid mode: book a DMA of ``nbytes`` (> 0) on the bus.
+
+        Returns the absolute instant the transfer completes.  The caller
+        sleeps until then and adds to :attr:`bytes_moved` afterwards.
+        """
+        free = self._fluid_free
+        now = self.engine._now
+        start = now if now > free else free
+        end = start + nbytes / self.bytes_per_second
+        self._fluid_free = end
+        return end
+
     def dma(self, nbytes: int) -> Generator:
         """Process generator: move ``nbytes`` across the bus (FIFO)."""
         if nbytes < 0:
@@ -45,12 +58,7 @@ class PcieBus:
             return
         engine = self.engine
         if engine.use_fluid:
-            free = self._fluid_free
-            now = engine.now
-            start = now if now > free else free
-            end = start + nbytes / self.bytes_per_second
-            self._fluid_free = end
-            yield engine.timeout_at(end)
+            yield engine.timeout_at(self.book(nbytes))
             self.bytes_moved.add(nbytes)
             return
         yield self._bus.request()

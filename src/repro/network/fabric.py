@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Generator, List, Optional, Sequence
 
 from repro.network.link import Link
 from repro.sim.events import AllOf
@@ -33,75 +33,93 @@ class Path:
         reg = engine.metrics
         labels = {"path": name, "i": reg.sequence("path")}
         self._m_bytes = reg.counter("path.bytes_total", **labels)
-        self._m_ctrl = reg.counter("path.ctrl_datagrams", **labels)
+        #: Control datagrams delivered (:meth:`deliver_latency`, ACKs).
+        self.ctrl_datagrams = reg.counter("path.ctrl_datagrams", **labels)
+        # Links never change rate, delay or MTU after construction, so
+        # the path constants are computed once, hop order preserved.
+        #: Rate of the slowest link on the path.
+        self.bottleneck_gbps: float = min(link.gbps for link in self.links)
+        self.bottleneck_bytes_per_second: float = self.bottleneck_gbps * 1e9 / 8.0
+        #: One-way propagation delay (sum over hops), seconds.
+        self.latency: float = sum(link.delay for link in self.links)
+        self.mtu: int = min(link.mtu for link in self.links)
 
-    @property
-    def bottleneck_gbps(self) -> float:
-        """Rate of the slowest link on the path."""
-        return min(link.gbps for link in self.links)
+    # -- fluid booking ------------------------------------------------------------
+    def book(self, nbytes: int, count: int = 1) -> Optional[float]:
+        """Fluid mode: book ``count`` back-to-back units of ``nbytes``
+        through the whole hop chain and return the arrival instant of the
+        last one.
 
-    @property
-    def bottleneck_bytes_per_second(self) -> float:
-        return self.bottleneck_gbps * 1e9 / 8.0
+        Each hop starts at ``max(end_{i-1}, free_i)`` and the summed
+        propagation is added once: the same float expressions hop-by-hop
+        execution evaluates, so the instant is bit-identical.  Returns
+        ``None`` — nothing booked — when the engine runs discrete,
+        ``nbytes`` is not positive, or any link is ineligible (fluid
+        disabled on it, a fault hook armed, ever flapped, or shared with
+        another path); the caller then serialises hop by hop.  The caller
+        sleeps until the instant and then calls :meth:`record_arrival`.
+        """
+        engine = self.engine
+        if not engine.use_fluid or nbytes <= 0:
+            return None
+        links = self.links
+        for link in links:
+            if (
+                link.use_fluid is False
+                or link.fault_hook is not None
+                or link._flap_seen
+                or link._path_uses != 1
+            ):
+                return None
+        now = engine._now
+        t = now
+        for _ in range(count):
+            t = now
+            for link in links:
+                free = link._fluid_free
+                start = t if t > free else free
+                t = start + nbytes / link.bytes_per_second
+                link._fluid_free = t
+        delay = self.latency
+        if delay > 0:
+            t = t + delay
+        return t
 
-    @property
-    def latency(self) -> float:
-        """One-way propagation delay (sum over hops), seconds."""
-        return sum(link.delay for link in self.links)
+    def record_arrival(self, nbytes: int) -> None:
+        """Count ``nbytes`` delivered by a :meth:`book` chain on every
+        link and on the path."""
+        for link in self.links:
+            link.bytes_sent.add(nbytes)
+        self._m_bytes.add(nbytes)
 
-    @property
-    def mtu(self) -> int:
-        return min(link.mtu for link in self.links)
+    def control_wait(self, nbytes: int = 64) -> float:
+        """Seconds a small control datagram takes: serialisation on the
+        bottleneck (the rest is negligible at this granularity) plus
+        propagation."""
+        return self.latency + nbytes / self.bottleneck_bytes_per_second
 
+    # -- process generators -------------------------------------------------------
     def transmit(self, nbytes: int) -> Generator:
         """Process generator: move ``nbytes`` along the path.
 
         Completes when the last byte arrives at the far end.  Consecutive
         transfers pipeline across hops because each link is an independent
-        FIFO resource.
-
-        Under fluid mode a path whose links are clean (no faults armed,
-        never flapped) and exclusively owned books the whole hop chain
-        analytically — ``start_i = max(end_{i-1}, free_i)`` per hop plus
-        the summed propagation — as one timer.  The chain evaluates the
-        same float expressions hop-by-hop execution would, so arrival
-        times are bit-identical; any ineligible link drops the transfer
-        to per-hop serialisation.
+        FIFO resource.  Under fluid mode an eligible path books the whole
+        hop chain as one timer (:meth:`book`); otherwise each link
+        serialises in turn.
         """
         engine = self.engine
-        if engine.use_fluid and nbytes > 0:
-            links = self.links
-            chain_ok = True
-            for link in links:
-                if (
-                    link.use_fluid is False
-                    or link.fault_hook is not None
-                    or link._flap_seen
-                    or link._path_uses != 1
-                ):
-                    chain_ok = False
-                    break
-            if chain_ok:
-                t = engine.now
-                for link in links:
-                    free = link._fluid_free
-                    start = t if t > free else free
-                    t = start + nbytes / link.bytes_per_second
-                    link._fluid_free = t
-                delay = self.latency
-                if delay > 0:
-                    t = t + delay
-                if t > engine.now:
-                    yield engine.timeout_at(t)
-                for link in links:
-                    link.bytes_sent.add(nbytes)
-                self._m_bytes.add(nbytes)
-                return
+        arrival = self.book(nbytes)
+        if arrival is not None:
+            if arrival > engine._now:
+                yield engine.timeout_at(arrival)
+            self.record_arrival(nbytes)
+            return
         for link in self.links:
             yield from link.serialize(nbytes)
         delay = self.latency
         if delay > 0:
-            yield self.engine.timeout(delay)
+            yield engine.timeout(delay)
         self._m_bytes.add(nbytes)
 
     def transmit_burst(self, nbytes: int, count: int) -> Generator:
@@ -127,52 +145,23 @@ class Path:
             yield from self.transmit(nbytes)
             return
         engine = self.engine
-        if engine.use_fluid:
-            links = self.links
-            chain_ok = True
-            for link in links:
-                if (
-                    link.use_fluid is False
-                    or link.fault_hook is not None
-                    or link._flap_seen
-                    or link._path_uses != 1
-                ):
-                    chain_ok = False
-                    break
-            if chain_ok:
-                now = engine.now
-                t = now
-                for _ in range(count):
-                    t = now
-                    for link in links:
-                        free = link._fluid_free
-                        start = t if t > free else free
-                        t = start + nbytes / link.bytes_per_second
-                        link._fluid_free = t
-                delay = self.latency
-                if delay > 0:
-                    t = t + delay
-                if t > now:
-                    yield engine.timeout_at(t)
-                total = nbytes * count
-                for link in links:
-                    link.bytes_sent.add(total)
-                self._m_bytes.add(total)
-                return
+        now = engine._now
+        arrival = self.book(nbytes, count)
+        if arrival is not None:
+            if arrival > now:
+                yield engine.timeout_at(arrival)
+            self.record_arrival(nbytes * count)
+            return
         procs = [engine.process(self.transmit(nbytes)) for _ in range(count)]
         yield AllOf(engine, procs)
 
     def deliver_latency(self, nbytes: int = 64) -> Generator:
-        """Process generator: deliver a small control datagram.
-
-        Serialises only on the bottleneck (the rest is negligible at this
-        granularity), then propagates.
-        """
-        rate = self.bottleneck_bytes_per_second
-        wait = self.latency + nbytes / rate
+        """Process generator: deliver a small control datagram
+        (:meth:`control_wait`)."""
+        wait = self.control_wait(nbytes)
         if wait > 0:
             yield self.engine.timeout(wait)
-        self._m_ctrl.add()
+        self.ctrl_datagrams.add()
 
     def __repr__(self) -> str:  # pragma: no cover
         hops = " -> ".join(link.name for link in self.links)

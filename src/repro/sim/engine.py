@@ -71,7 +71,13 @@ class Engine:
         _obs_runtime.track_engine(self)
 
     def trace(self, category: str, message: str, **fields) -> None:
-        """Emit a trace record if a tracer is attached (cheap when not)."""
+        """Emit a trace record if a tracer is attached.
+
+        The call itself still costs the caller its argument evaluation
+        (the keyword dict, any ``Enum.value`` reads) when no tracer is
+        attached, so hot call sites guard it with
+        ``if engine.tracer is not None``.
+        """
         if self.tracer is not None:
             self.tracer.emit(self._now, category, message, **fields)
 

@@ -67,6 +67,17 @@ class QpState(enum.Enum):
     ERROR = "error"
 
 
+# The per-WR path compares against these members by identity.  Reading a
+# member off its enum class (``WcStatus.SUCCESS``) runs the enum
+# metaclass's ``__getattr__`` hook on Python < 3.12, several times the cost
+# of a module global, and every WR reads about ten of them.
+_RESET, _RTS, _ERROR = QpState.RESET, QpState.RTS, QpState.ERROR
+_RC, _UD = QpType.RC, QpType.UD
+_SEND, _RECV, _READ = Opcode.SEND, Opcode.RECV, Opcode.RDMA_READ
+_WRITE, _WRITE_IMM = Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM
+_SUCCESS, _SIM_FAULT = WcStatus.SUCCESS, WcStatus.SIM_FAULT
+
+
 class QueuePair:
     """One endpoint of an RDMA channel."""
 
@@ -141,7 +152,7 @@ class QueuePair:
     # -- wiring ------------------------------------------------------------------
     def attach(self, peer: "QueuePair", duplex: "DuplexPath") -> None:
         """Bind this QP to its peer over a duplex path and move to RTS."""
-        if self.state is QpState.ERROR:
+        if self.state is _ERROR:
             raise QpStateError("cannot attach a QP in ERROR state")
         self.peer = peer
         self.path = duplex.forward
@@ -155,7 +166,7 @@ class QueuePair:
             # Real verbs reject per-QP receives on an SRQ-attached QP;
             # receive provisioning happens once, on the shared queue.
             raise QpStateError("QP uses an SRQ: post receives on the SRQ")
-        if self.state in (QpState.RESET, QpState.ERROR):
+        if self.state in (_RESET, _ERROR):
             raise QpStateError(f"post_recv in state {self.state.value}")
         if len(self._recv_queue) >= self.max_recv_wr:
             raise QueueFullError("receive queue full")
@@ -202,26 +213,28 @@ class QueuePair:
 
     def post_send(self, wr: SendWR) -> None:
         """Post a work request; execution proceeds asynchronously."""
-        if self.state is not QpState.RTS:
+        if self.state is not _RTS:
             raise QpStateError(f"post_send in state {self.state.value}")
         if self._outstanding_sends >= self.max_send_wr:
             raise QueueFullError("send queue full")
-        if self.qp_type is QpType.UD:
+        if self.qp_type is _UD:
             assert self.path is not None
             if wr.length > self.path.mtu:
                 raise MtuExceededError(
                     f"UD datagram {wr.length} exceeds path MTU {self.path.mtu}"
                 )
-            if wr.opcode is not Opcode.SEND:
+            if wr.opcode is not _SEND:
                 raise QpStateError("UD supports only SEND")
         self._outstanding_sends += 1
         ssn = self._ssn
         self._ssn += 1
-        self.engine.trace(
-            "qp", "post_send",
-            qp=self.qp_num, op=wr.opcode.value, wr_id=wr.wr_id, len=wr.length,
-        )
-        self.engine.process(self._execute(wr, ssn))
+        engine = self.engine
+        if engine.tracer is not None:
+            engine.trace(
+                "qp", "post_send",
+                qp=self.qp_num, op=wr.opcode.value, wr_id=wr.wr_id, len=wr.length,
+            )
+        engine.process(self._execute(wr, ssn))
 
     # -- execution ----------------------------------------------------------------
     def _execute(self, wr: SendWR, ssn: int) -> Generator:
@@ -229,15 +242,15 @@ class QueuePair:
         assert self.rpath is not None
         nic = self.device.nic
         peer = self.peer
-        status = WcStatus.SUCCESS
+        status = _SUCCESS
         try:
-            if self.state is QpState.ERROR:
+            if self.state is _ERROR:
                 status = WcStatus.WR_FLUSH_ERR
-            elif wr.opcode is Opcode.SEND:
+            elif wr.opcode is _SEND:
                 status = yield from self._do_send(wr, nic, peer)
-            elif wr.opcode in (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM):
+            elif wr.opcode in (_WRITE, _WRITE_IMM):
                 status = yield from self._do_write(wr, nic, peer)
-            elif wr.opcode is Opcode.RDMA_READ:
+            elif wr.opcode is _READ:
                 status = yield from self._do_read(wr, nic, peer)
             else:  # pragma: no cover - defensive
                 raise QpStateError(f"unsupported opcode {wr.opcode}")
@@ -250,23 +263,50 @@ class QueuePair:
                 qp_num=self.qp_num,
             )
             self._retire(ssn, wc, signaled=wr.signaled)
-        if status is WcStatus.SUCCESS:
+        if status is _SUCCESS:
             self.bytes_sent.add(wr.length)
-        elif status is not WcStatus.SIM_FAULT:
+        elif status is not _SIM_FAULT:
             # Real RC errors are fatal to the QP; injected transient
             # faults leave it usable so recovery paths can be tested.
             self._enter_error()
 
+    # Under fluid mode the common SEND and WRITE paths ("flat") book each
+    # stage themselves (``Nic.book_wqe``, ``PcieBus.book``, ``Path.book``,
+    # ``Path.control_wait``) and yield its timer directly instead of
+    # running the stage's process generator.  The timers, their order and
+    # every float are the ones the generators would produce, and each
+    # counter is still added after its timer fires (``Link.utilization``
+    # reads ``bytes_sent`` mid-run).  Discrete mode, zero-length WRs, UD,
+    # WRITE_WITH_IMM and the error branches run the generators.
+
     def _do_send(self, wr: SendWR, nic, peer: "QueuePair") -> Generator:
-        yield from nic.process_wqe()
-        yield from nic.dma_fetch(wr.length)
+        engine = self.engine
+        length = wr.length
+        path = self.path
+        rpath = self.rpath
+        flat = engine.use_fluid and length > 0 and self.qp_type is _RC
+        if flat:
+            yield engine.timeout_at(nic.book_wqe())
+            nic.wqes_processed.add()
+            pcie = nic.host.pcie
+            yield engine.timeout_at(pcie.book(length))
+            pcie.bytes_moved.add(length)
+        else:
+            yield from nic.process_wqe()
+            yield from nic.dma_fetch(length)
         attempts = 0
         while True:
-            yield from self.path.transmit(wr.length)
-            if self.qp_type is QpType.UD:
+            arrival = path.book(length) if flat else None
+            if arrival is None:
+                yield from path.transmit(length)
+            else:
+                if arrival > engine._now:
+                    yield engine.timeout_at(arrival)
+                path.record_arrival(length)
+            if self.qp_type is _UD:
                 # Unreliable: local completion as soon as it is on the wire.
                 peer._deliver_datagram(wr)
-                return WcStatus.SUCCESS
+                return _SUCCESS
             if peer._has_recv():
                 break
             # Receiver Not Ready: NAK travels back, wait RNR timer, retry.
@@ -274,71 +314,113 @@ class QueuePair:
             attempts += 1
             if self.rnr_retry != RNR_RETRY_INFINITE and attempts > self.rnr_retry:
                 return WcStatus.RNR_RETRY_EXC_ERR
-            yield from self.rpath.deliver_latency()
-            yield self.engine.timeout(self.rnr_timer)
+            yield from rpath.deliver_latency()
+            yield engine.timeout(self.rnr_timer)
         rwr = peer._take_recv()
-        if wr.length > rwr.length:
+        if length > rwr.length:
             return WcStatus.LOC_LEN_ERR
-        yield from peer.device.nic.dma_place(wr.length)
+        if flat:
+            peer_pcie = peer.device.nic.host.pcie
+            yield engine.timeout_at(peer_pcie.book(length))
+            peer_pcie.bytes_moved.add(length)
+        else:
+            yield from peer.device.nic.dma_place(length)
         peer.recv_cq.push(
             WorkCompletion(
                 wr_id=rwr.wr_id,
-                opcode=Opcode.RECV,
-                status=WcStatus.SUCCESS,
-                byte_len=wr.length,
+                opcode=_RECV,
+                status=_SUCCESS,
+                byte_len=length,
                 payload=wr.payload,
                 qp_num=peer.qp_num,
             )
         )
-        yield from self.rpath.deliver_latency()  # hardware ACK
-        return WcStatus.SUCCESS
+        # Hardware ACK.
+        if flat:
+            wait = rpath.control_wait()
+            if wait > 0:
+                yield engine.timeout(wait)
+            rpath.ctrl_datagrams.add()
+        else:
+            yield from rpath.deliver_latency()
+        return _SUCCESS
 
     def _do_write(self, wr: SendWR, nic, peer: "QueuePair") -> Generator:
         target = peer.pd.lookup_rkey(wr.rkey)
-        yield from nic.process_wqe()
-        yield from nic.dma_fetch(wr.length)
-        yield from self.path.transmit(wr.length)
-        if self.state is QpState.ERROR:
+        engine = self.engine
+        length = wr.length
+        path = self.path
+        rpath = self.rpath
+        flat = engine.use_fluid and length > 0 and wr.opcode is _WRITE
+        if flat:
+            yield engine.timeout_at(nic.book_wqe())
+            nic.wqes_processed.add()
+            pcie = nic.host.pcie
+            yield engine.timeout_at(pcie.book(length))
+            pcie.bytes_moved.add(length)
+        else:
+            yield from nic.process_wqe()
+            yield from nic.dma_fetch(length)
+        arrival = path.book(length) if flat else None
+        if arrival is None:
+            yield from path.transmit(length)
+        else:
+            if arrival > engine._now:
+                yield engine.timeout_at(arrival)
+            path.record_arrival(length)
+        if self.state is _ERROR:
             # The QP was killed while this WR was on the wire; the write
             # never lands and the WR flushes.
             return WcStatus.WR_FLUSH_ERR
         if self.fault_injector is not None and self.fault_injector(wr):
-            yield from self.rpath.deliver_latency()  # NAK comes back
-            return WcStatus.SIM_FAULT
+            yield from rpath.deliver_latency()  # NAK comes back
+            return _SIM_FAULT
         try:
             if target is None:
                 raise RemoteAccessError(f"unknown rkey {wr.rkey!r}")
-            target.check_remote(wr.remote_addr, wr.length, write=True)
+            target.check_remote(wr.remote_addr, length, write=True)
         except RemoteAccessError:
-            yield from self.rpath.deliver_latency()  # NAK
+            yield from rpath.deliver_latency()  # NAK
             return WcStatus.REM_ACCESS_ERR
-        yield from peer.device.nic.dma_place(wr.length)
+        if flat:
+            peer_pcie = peer.device.nic.host.pcie
+            yield engine.timeout_at(peer_pcie.book(length))
+            peer_pcie.bytes_moved.add(length)
+        else:
+            yield from peer.device.nic.dma_place(length)
         payload = wr.payload
         if self.corrupt_injector is not None:
             tampered = self.corrupt_injector(wr)
             if tampered is not None:
                 payload = tampered
         target.place(wr.remote_addr, payload)
-        if wr.opcode is Opcode.RDMA_WRITE_WITH_IMM:
+        if wr.opcode is _WRITE_IMM:
             if not peer._has_recv():
                 # Immediate data consumes a receive WR; RNR applies.
                 self.rnr_naks.add()
-                yield from self.rpath.deliver_latency()
-                yield self.engine.timeout(self.rnr_timer)
+                yield from rpath.deliver_latency()
+                yield engine.timeout(self.rnr_timer)
                 return (yield from self._do_write(wr, nic, peer))
             rwr = peer._take_recv()
             peer.recv_cq.push(
                 WorkCompletion(
                     wr_id=rwr.wr_id,
-                    opcode=Opcode.RECV,
-                    status=WcStatus.SUCCESS,
-                    byte_len=wr.length,
+                    opcode=_RECV,
+                    status=_SUCCESS,
+                    byte_len=length,
                     imm_data=wr.imm_data,
                     qp_num=peer.qp_num,
                 )
             )
-        yield from self.rpath.deliver_latency()  # hardware ACK
-        return WcStatus.SUCCESS
+        # Hardware ACK.
+        if flat:
+            wait = rpath.control_wait()
+            if wait > 0:
+                yield engine.timeout(wait)
+            rpath.ctrl_datagrams.add()
+        else:
+            yield from rpath.deliver_latency()
+        return _SUCCESS
 
     def _do_read(self, wr: SendWR, nic, peer: "QueuePair") -> Generator:
         source = peer.pd.lookup_rkey(wr.rkey)
@@ -358,7 +440,7 @@ class QueuePair:
             yield from self.rpath.transmit(wr.length)
             yield from nic.dma_place(wr.length)
             wr.payload = source.fetch(wr.remote_addr)
-            return WcStatus.SUCCESS
+            return _SUCCESS
         finally:
             self._ord.release()
 
@@ -371,8 +453,8 @@ class QueuePair:
         self.recv_cq.push(
             WorkCompletion(
                 wr_id=rwr.wr_id,
-                opcode=Opcode.RECV,
-                status=WcStatus.SUCCESS,
+                opcode=_RECV,
+                status=_SUCCESS,
                 byte_len=wr.length,
                 payload=wr.payload,
                 qp_num=self.qp_num,
@@ -381,10 +463,11 @@ class QueuePair:
 
     # -- completion ordering ------------------------------------------------------------
     def _retire(self, ssn: int, wc: WorkCompletion, signaled: bool) -> None:
-        self.engine.trace(
-            "qp", "complete",
-            qp=self.qp_num, wr_id=wc.wr_id, status=wc.status.value,
-        )
+        if self.engine.tracer is not None:
+            self.engine.trace(
+                "qp", "complete",
+                qp=self.qp_num, wr_id=wc.wr_id, status=wc.status.value,
+            )
         self._done[ssn] = wc if signaled else None
         while self._next_complete in self._done:
             pending = self._done.pop(self._next_complete)
@@ -394,7 +477,7 @@ class QueuePair:
                 self.send_cq.push(pending)
 
     def _enter_error(self) -> None:
-        if self.state is QpState.ERROR:
+        if self.state is _ERROR:
             return
         self.state = QpState.ERROR
         # Flush posted receives.  Shared WQEs are deliberately *not*
@@ -405,7 +488,7 @@ class QueuePair:
             self.recv_cq.push(
                 WorkCompletion(
                     wr_id=rwr.wr_id,
-                    opcode=Opcode.RECV,
+                    opcode=_RECV,
                     status=WcStatus.WR_FLUSH_ERR,
                     qp_num=self.qp_num,
                 )

@@ -34,6 +34,14 @@ class WcStatus(enum.Enum):
     SIM_FAULT = "simulated_fault"
 
 
+# Every WR and completion checks these.  Reading a member off its enum
+# class runs the enum metaclass's ``__getattr__`` hook on Python < 3.12,
+# several times the cost of a module global.
+_REMOTE_OPS = (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM, Opcode.RDMA_READ)
+_WRITE_IMM = Opcode.RDMA_WRITE_WITH_IMM
+_SUCCESS = WcStatus.SUCCESS
+
+
 @dataclass
 class SendWR:
     """A send-queue work request.
@@ -63,10 +71,10 @@ class SendWR:
     def __post_init__(self) -> None:
         if self.length < 0:
             raise ValueError("length must be non-negative")
-        if self.opcode in (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM, Opcode.RDMA_READ):
+        if self.opcode in _REMOTE_OPS:
             if self.rkey is None:
                 raise ValueError(f"{self.opcode.value} requires an rkey")
-        if self.opcode is Opcode.RDMA_WRITE_WITH_IMM and self.imm_data is None:
+        if self.opcode is _WRITE_IMM and self.imm_data is None:
             raise ValueError("RDMA_WRITE_WITH_IMM requires imm_data")
 
 
@@ -103,4 +111,4 @@ class WorkCompletion:
 
     @property
     def ok(self) -> bool:
-        return self.status is WcStatus.SUCCESS
+        return self.status is _SUCCESS

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Tuple
 
 import pytest
 
@@ -94,12 +94,15 @@ def make_fabric(
     arch: RdmaArch = RdmaArch.ROCE,
     cores: int = 8,
     pcie_gbps: float = 64.0,
+    use_fluid: bool = True,
+    topology: Callable[..., DuplexPath] = back_to_back,
 ) -> MiniFabric:
-    engine = Engine()
+    """Two hosts joined by ``topology(engine, gbps, rtt=rtt)``."""
+    engine = Engine(use_fluid=use_fluid)
     a = make_host(engine, "a", cores=cores, pcie_gbps=pcie_gbps, nic_gbps=gbps)
     b = make_host(engine, "b", cores=cores, pcie_gbps=pcie_gbps, nic_gbps=gbps)
     dev_a, dev_b = Device(a.nic, arch), Device(b.nic, arch)
-    duplex = back_to_back(engine, gbps, rtt=rtt)
+    duplex = topology(engine, gbps, rtt=rtt)
     fabric = RdmaFabric(engine)
     fabric.wire(dev_a, dev_b, duplex)
     cm = ConnectionManager(fabric)

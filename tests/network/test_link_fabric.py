@@ -91,6 +91,34 @@ def test_path_latency_sums_hops(engine):
     assert Path(engine, links).latency == pytest.approx(0.03)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda e: wan_path(e, nic_gbps=10.0, rtt=0.0493, backbone_gbps=100.0),
+        lambda e: lan_switched(e, gbps=40.0, rtt=13.7e-6),
+        lambda e: back_to_back(e, gbps=40.0, rtt=0.0031),
+    ],
+    ids=["wan_path", "lan_switched", "back_to_back"],
+)
+def test_path_constants_equal_the_per_link_fold(engine, build):
+    """Path constants are computed once at construction; they must be
+    the exact floats the per-hop sum/min gives (same summation order)."""
+    duplex = build(engine)
+    for path in (duplex.forward, duplex.backward):
+        links = path.links
+        assert path.latency == sum(link.delay for link in links)
+        assert path.bottleneck_gbps == min(link.gbps for link in links)
+        assert path.bottleneck_bytes_per_second == (
+            min(link.gbps for link in links) * 1e9 / 8.0
+        )
+        assert path.mtu == min(link.mtu for link in links)
+        assert path.control_wait(64) == (
+            sum(link.delay for link in links)
+            + 64 / (min(link.gbps for link in links) * 1e9 / 8.0)
+        )
+    assert duplex.rtt == duplex.forward.latency + duplex.backward.latency
+
+
 def test_path_deliver_latency(engine):
     link = Link(engine, gbps=8.0, delay=0.005)
     path = Path(engine, [link])

@@ -101,3 +101,27 @@ def test_capacity_has_a_single_source_of_truth():
         tracer.emit(float(i), "c", f"m{i}")
     assert len(tracer) == tracer.capacity == 4
     assert tracer.dropped == 2
+
+
+def _traced_rftp(tracer):
+    from repro.apps.rftp import run_rftp
+
+    tb = roce_lan()
+    tb.engine.tracer = tracer
+    result = run_rftp(tb, total_bytes=16 << 20)
+    return result.gbps, tb.engine.now, tb.engine.events_processed
+
+
+def test_tracing_changes_nothing_but_the_records():
+    """Hot call sites skip building trace arguments when no tracer is
+    attached; attaching one must not move a float or an event."""
+    tracer = Tracer()
+    assert _traced_rftp(tracer) == _traced_rftp(None)
+    messages = {(r.category, r.message) for r in tracer.query()}
+    for expected in [
+        ("qp", "post_send"),
+        ("qp", "complete"),
+        ("ctrl", "send"),
+        ("credits", "deposit"),
+    ]:
+        assert expected in messages

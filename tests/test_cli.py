@@ -221,3 +221,42 @@ def test_sched_command_exits_nonzero_when_jobs_do_not_finish(capsys):
 def test_sched_command_requires_a_mix(capsys):
     assert main(["sched"]) == 2
     assert "--spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rftp", "--bytes", "0"],
+        ["rftp", "--block-size", "4Q"],
+        ["gridftp", "--bytes", "-1M"],
+        ["fio", "--block-size", ""],
+        ["chaos", "--bytes", "0"],
+        ["chaos", "--write-fault-rate", "1.5"],
+        ["chaos", "--ctrl-drop-rate", "-0.1"],
+        ["chaos", "--ctrl-delay-rate", "x"],
+        ["chaos", "--latency-spike-rate", "2"],
+        ["chaos", "--payload-corrupt-rate", "nan"],
+        ["chaos", "--heartbeat-drop-rate", "1.01"],
+        ["chaos", "--link-flap", "0.5"],
+        ["chaos", "--link-flap", "0.5:0"],
+        ["chaos", "--qp-kill", "0.1:first"],
+        ["chaos", "--sink-crash", "-1"],
+        ["sched", "--quick", "--overload", "{bad"],
+        ["sched", "--quick", "--overload", "[1, 2]"],
+        ["sched", "--quick", "--overload", '{"no_such_knob": 1}'],
+        ["sched", "--quick", "--attempt-fault-rate", "7"],
+        ["sched", "--quick", "--tenants", "gold:x"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_malformed_input_exits_2_with_one_line(argv, capsys):
+    """Bad values are refused at the argparse boundary: exit 2 and one
+    ``repro <cmd>: error: argument --flag: ...`` line, never a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"repro {argv[0]}: error: argument {argv[-2]}")
