@@ -1,10 +1,9 @@
 """Measurement and reporting helpers for experiments."""
 
-from repro.analysis.metrics import BandwidthMeter, summarize_latencies
+from repro.analysis.metrics import summarize_latencies
 from repro.analysis.report import Series, Table, format_gbps, format_pct
 
 __all__ = [
-    "BandwidthMeter",
     "Series",
     "Table",
     "format_gbps",

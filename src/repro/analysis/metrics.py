@@ -1,43 +1,12 @@
-"""Bandwidth meters and latency summaries."""
+"""Latency summaries."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Sequence
-
-import numpy as np
+from typing import Dict, Sequence
 
 from repro.obs.stats import exact_percentile, mean
-from repro.sim.monitor import TimeSeries
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.engine import Engine
-
-__all__ = ["BandwidthMeter", "summarize_latencies"]
-
-
-class BandwidthMeter:
-    """Records byte completions and reports windowed rates."""
-
-    def __init__(self, engine: "Engine", name: str = "bw") -> None:
-        self.engine = engine
-        self.series = TimeSeries(name)
-        self._started = engine.now
-
-    def record(self, nbytes: float) -> None:
-        self.series.record(self.engine.now, nbytes)
-
-    @property
-    def total_bytes(self) -> float:
-        return float(np.sum(self.series.values)) if len(self.series) else 0.0
-
-    def gbps(self, since: float = 0.0) -> float:
-        """Average rate in Gbps from ``since`` until now."""
-        span = self.engine.now - max(since, self._started)
-        if span <= 0:
-            return 0.0
-        times = self.series.times
-        mask = times >= since
-        return float(np.sum(self.series.values[mask]) * 8.0 / span / 1e9)
+__all__ = ["summarize_latencies"]
 
 
 def summarize_latencies(latencies_s: Sequence[float]) -> Dict[str, float]:

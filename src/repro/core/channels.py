@@ -55,10 +55,10 @@ class ControlChannel:
         self._recv_channel = CompletionChannel(qp.recv_cq)
         reg = self.engine.metrics
         labels = {"qp": qp.qp_num, "i": reg.sequence("ctrl_channel")}
-        self._m_sent = reg.counter("ctrl.sent", **labels)
-        self._m_received = reg.counter("ctrl.received", **labels)
-        self._m_dropped = reg.counter("ctrl.dropped", **labels)
-        self._m_delayed = reg.counter("ctrl.delayed", **labels)
+        self.sent = reg.counter("ctrl.sent", **labels)
+        self.received = reg.counter("ctrl.received", **labels)
+        self.dropped = reg.counter("ctrl.dropped", **labels)
+        self.delayed = reg.counter("ctrl.delayed", **labels)
         #: Optional fault hook ``(msg) -> None | "drop" | float``: None for
         #: clean delivery, "drop" to lose the message after the CPU cost is
         #: paid, a float to delay posting by that many seconds.
@@ -66,23 +66,6 @@ class ControlChannel:
         # Pre-post the receive ring (setup time, not charged).
         for i in range(recv_depth):
             qp.post_recv(RecvWR(length=CTRL_MSG_BYTES, wr_id=i))
-
-    # -- backwards-compat stat views ------------------------------------------
-    @property
-    def sent(self) -> int:
-        return int(self._m_sent.total)
-
-    @property
-    def received(self) -> int:
-        return int(self._m_received.total)
-
-    @property
-    def dropped(self) -> int:
-        return int(self._m_dropped.total)
-
-    @property
-    def delayed(self) -> int:
-        return int(self._m_delayed.total)
 
     def send(self, thread: "CpuThread", msg: ControlMessage) -> Generator:
         """Post a control message (unsignalled SEND; fire-and-forget)."""
@@ -94,16 +77,16 @@ class ControlChannel:
                 # models loss the reliable QP cannot see (e.g. a stale
                 # route eating the datagram before the NIC retransmit
                 # window, or an injected switch fault).
-                self._m_dropped.add()
+                self.dropped.add()
                 self.engine.trace(
                     "ctrl", "drop", type=msg.type.value, session=msg.session_id
                 )
-                self._m_sent.add()
+                self.sent.add()
                 return
             if verdict is not None and verdict > 0:
                 # Delay inline (before posting) so FIFO ordering on the QP
                 # is preserved — only this message's departure slips.
-                self._m_delayed.add()
+                self.delayed.add()
                 yield self.engine.timeout(verdict)
         if self.engine.tracer is not None:
             self.engine.trace(
@@ -117,7 +100,7 @@ class ControlChannel:
                 signaled=False,
             )
         )
-        self._m_sent.add()
+        self.sent.add()
 
     def receive(self, thread: "CpuThread") -> Generator:
         """Block until control messages arrive; returns the batch.
@@ -136,7 +119,7 @@ class ControlChannel:
             yield thread.exec(self.profile.post_recv_seconds)
             self.qp.post_recv(RecvWR(length=CTRL_MSG_BYTES, wr_id=wc.wr_id))
         if messages:
-            self._m_received.add(len(messages))
+            self.received.add(len(messages))
         return messages
 
 
@@ -155,7 +138,7 @@ class DataChannels:
         self._rr = 0
         reg = self.engine.metrics
         self._idx = reg.sequence("data_channels")
-        self._m_posted = reg.counter("data.blocks_posted", i=self._idx)
+        self.blocks_posted = reg.counter("data.blocks_posted", i=self._idx)
         self._m_detached = reg.counter("data.qps_detached", i=self._idx)
         #: per-QP posted-block counters, bound up front (and in
         #: :meth:`adopt` for QPs re-established after failover) so the
@@ -173,15 +156,6 @@ class DataChannels:
         #: tripped one is force-admitted instead, so NoLiveChannelError
         #: keeps its exact meaning (no RTS QP at all).
         self.breaker_lookup = None
-
-    # -- backwards-compat stat views ------------------------------------------
-    @property
-    def blocks_posted(self) -> int:
-        return int(self._m_posted.total)
-
-    @property
-    def detached(self) -> int:
-        return int(self._m_detached.total)
 
     def __len__(self) -> int:
         return len(self.qps)
@@ -298,7 +272,7 @@ class DataChannels:
                 # surviving channel (or let _pick raise when none remain).
                 continue
             break
-        self._m_posted.add()
+        self.blocks_posted.add()
         self._m_posted_by_qp[qp.qp_num].add()
 
     def post_send_block(
@@ -336,7 +310,7 @@ class DataChannels:
                 # surviving channel (or let _pick raise when none remain).
                 continue
             break
-        self._m_posted.add()
+        self.blocks_posted.add()
         self._m_posted_by_qp[qp.qp_num].add()
 
     @property

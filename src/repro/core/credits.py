@@ -61,9 +61,9 @@ class CreditLedger:
         self._credits = Store(engine)
         reg = engine.metrics
         labels = {"i": reg.sequence("credit_ledger")}
-        self._m_received = reg.counter("credits.received_total", **labels)
+        self.total_received = reg.counter("credits.received_total", **labels)
         self._m_flushed = reg.counter("credits.flushed_total", **labels)
-        self._m_peak = reg.gauge("credits.peak_balance", **labels)
+        self.peak_balance = reg.gauge("credits.peak_balance", **labels)
         reg.gauge_fn("credits.balance", lambda: len(self._credits), **labels)
         reg.gauge_fn("credits.waiters", lambda: self._credits.waiters, **labels)
         #: (time, cumulative credits received) — lets experiments verify
@@ -74,21 +74,6 @@ class CreditLedger:
         #: again, so a zero balance with N concurrent jobs produces one
         #: request, not N.
         self.request_outstanding = False
-
-    # -- backwards-compat stat views ------------------------------------------
-    @property
-    def total_received(self) -> int:
-        return int(self._m_received.total)
-
-    @property
-    def peak_balance(self) -> int:
-        return int(self._m_peak.value)
-
-    @property
-    def flushed(self) -> int:
-        """Credits discarded by :meth:`flush` (stale grants to a dead
-        session incarnation, dropped at resume)."""
-        return int(self._m_flushed.total)
 
     @property
     def balance(self) -> int:
@@ -102,13 +87,14 @@ class CreditLedger:
         """Add granted credits (from an MR_INFO_REP)."""
         self.request_outstanding = False
         self._credits.put_many(credits)
-        self._m_received.add(len(credits))
-        self._m_peak.set_max(self.balance)
-        self.history.append((self.engine.now, self.total_received))
+        self.total_received.add(len(credits))
+        self.peak_balance.set_max(self.balance)
+        total = int(self.total_received.total)
+        self.history.append((self.engine.now, total))
         if self.engine.tracer is not None:
             self.engine.trace(
                 "credits", "deposit",
-                granted=len(credits), balance=self.balance, total=self.total_received,
+                granted=len(credits), balance=self.balance, total=total,
             )
 
     def refund(self, credits: List[Credit]) -> None:
@@ -119,7 +105,7 @@ class CreditLedger:
         accounted for these when it granted them.
         """
         self._credits.put_many(credits)
-        self._m_peak.set_max(self.balance)
+        self.peak_balance.set_max(self.balance)
 
     def flush(self) -> int:
         """Drop every held credit; returns how many were discarded.
@@ -171,13 +157,9 @@ class CreditGranter:
         #: block must be granted immediately.
         self.pending_request = False
         reg = pool.engine.metrics
-        self._m_granted = reg.counter(
+        self.total_granted = reg.counter(
             "credits.granted_total", i=reg.sequence("credit_granter")
         )
-
-    @property
-    def total_granted(self) -> int:
-        return int(self._m_granted.total)
 
     def _take_free(self, limit: int) -> List[Credit]:
         granted: List[Credit] = []
@@ -188,7 +170,7 @@ class CreditGranter:
             block.advertise()
             granted.append(Credit.for_block(block))
         if granted:
-            self._m_granted.add(len(granted))
+            self.total_granted.add(len(granted))
         return granted
 
     # -- the three grant triggers of §IV-C -----------------------------------------

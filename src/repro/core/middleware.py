@@ -18,7 +18,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.messages import HEADER_BYTES
 from repro.core.pool import BlockPool, ResourcePool
 from repro.core.sink_engine import SinkEngine
-from repro.core.source_link import SourceLink
+from repro.core.source_link import SourceLink, TransferJob
 from repro.sim.events import Event
 from repro.verbs.cq import CompletionChannel
 from repro.verbs.wr import RecvWR
@@ -82,6 +82,42 @@ class TransferOutcome:
         if self.elapsed <= 0:
             return float("inf")
         return self.bytes * 8.0 / self.elapsed / 1e9
+
+
+def _outcome(
+    link: SourceLink,
+    job: TransferJob,
+    mr_before: int,
+    nbytes: int,
+    blocks: int,
+    resumed_from: int,
+) -> TransferOutcome:
+    """The :class:`TransferOutcome` of ``job``, finished on ``link``.
+
+    ``mr_before`` is the link's MR_INFO_REQ count when the session
+    started; the link-wide control and credit counters are read as they
+    stand now.
+    """
+    assert job.started_at is not None and job.finished_at is not None
+    return TransferOutcome(
+        session_id=job.session_id,
+        bytes=nbytes,
+        elapsed=job.finished_at - job.started_at,
+        blocks=blocks,
+        resends=job.resends,
+        mr_requests=link.mr_requests_sent.count - mr_before,
+        ctrl_sent=link.ctrl.sent.count,
+        ctrl_received=int(link.ctrl.received.total),
+        peak_credits=int(link.ledger.peak_balance.value),
+        rnr_naks=sum(qp.rnr_naks.count for qp in link._data_qps)
+        + link._ctrl_qp.rnr_naks.count,
+        ctrl_retries=job.ctrl_retries,
+        repairs=job.repairs,
+        resumed_from=resumed_from,
+        fallbacks=job.fallbacks,
+        fallback_blocks=job.fallback_blocks,
+        repromotions=job.repromotions,
+    )
 
 
 class RdmaMiddleware:
@@ -414,31 +450,15 @@ class RdmaMiddleware:
                 the_link = yield self.open_link(
                     remote, port, config, fault_injector, tcp_factory
                 )
-            mr_reqs_before = the_link.mr_requests_sent
+            mr_before = the_link.mr_requests_sent.count
             job = yield the_link.transfer(
                 data_source,
                 total_bytes,
                 session_id,
                 reuse_negotiation=reuse_negotiation,
             )
-            assert job.started_at is not None and job.finished_at is not None
-            return TransferOutcome(
-                session_id=session_id,
-                bytes=total_bytes,
-                elapsed=job.finished_at - job.started_at,
-                blocks=job.total_blocks,
-                resends=job.resends,
-                mr_requests=the_link.mr_requests_sent - mr_reqs_before,
-                ctrl_sent=the_link.ctrl.sent,
-                ctrl_received=the_link.ctrl.received,
-                peak_credits=the_link.ledger.peak_balance,
-                rnr_naks=sum(qp.rnr_naks.count for qp in the_link._data_qps)
-                + the_link._ctrl_qp.rnr_naks.count,
-                ctrl_retries=job.ctrl_retries,
-                repairs=job.repairs,
-                fallbacks=job.fallbacks,
-                fallback_blocks=job.fallback_blocks,
-                repromotions=job.repromotions,
+            return _outcome(
+                the_link, job, mr_before, total_bytes, job.total_blocks, 0
             )
 
         return self.engine.process(_run())
@@ -472,27 +492,15 @@ class RdmaMiddleware:
                 the_link = yield self.open_link(
                     remote, port, config, fault_injector, tcp_factory
                 )
-            mr_reqs_before = the_link.mr_requests_sent
+            mr_before = the_link.mr_requests_sent.count
             job = yield the_link.resume(data_source, total_bytes, session_id)
-            assert job.started_at is not None and job.finished_at is not None
-            return TransferOutcome(
-                session_id=session_id,
-                bytes=max(0, total_bytes - job.start_seq * job.block_size),
-                elapsed=job.finished_at - job.started_at,
-                blocks=job.blocks_to_send,
-                resends=job.resends,
-                mr_requests=the_link.mr_requests_sent - mr_reqs_before,
-                ctrl_sent=the_link.ctrl.sent,
-                ctrl_received=the_link.ctrl.received,
-                peak_credits=the_link.ledger.peak_balance,
-                rnr_naks=sum(qp.rnr_naks.count for qp in the_link._data_qps)
-                + the_link._ctrl_qp.rnr_naks.count,
-                ctrl_retries=job.ctrl_retries,
-                repairs=job.repairs,
-                resumed_from=job.start_seq,
-                fallbacks=job.fallbacks,
-                fallback_blocks=job.fallback_blocks,
-                repromotions=job.repromotions,
+            return _outcome(
+                the_link,
+                job,
+                mr_before,
+                max(0, total_bytes - job.start_seq * job.block_size),
+                job.blocks_to_send,
+                job.start_seq,
             )
 
         return self.engine.process(_run())

@@ -72,14 +72,14 @@ class SinkEngine:
         self._ready: Store = Store(self.engine)
         self._expected_bytes: Dict[int, int] = {}
         self._consumed_bytes: Dict[int, int] = {}
-        self._m_delivered = reg.counter("sink.blocks_delivered", **labels)
-        self._m_reclaimed = reg.counter("sink.sessions_reclaimed", **labels)
-        self._m_stray = reg.counter("sink.stray_messages", **labels)
-        self._m_mismatches = reg.counter("sink.checksum_mismatches", **labels)
-        self._m_nacks = reg.counter("sink.nacks_sent", **labels)
-        self._m_markers = reg.counter("sink.markers_sent", **labels)
-        self._m_resumes = reg.counter("sink.resumes", **labels)
-        self._m_crashes = reg.counter("sink.crashes", **labels)
+        self.blocks_delivered = reg.counter("sink.blocks_delivered", **labels)
+        self.sessions_reclaimed = reg.counter("sink.sessions_reclaimed", **labels)
+        self.stray_messages = reg.counter("sink.stray_messages", **labels)
+        self.checksum_mismatches = reg.counter("sink.checksum_mismatches", **labels)
+        self.nacks_sent = reg.counter("sink.nacks_sent", **labels)
+        self.markers_sent = reg.counter("sink.markers_sent", **labels)
+        self.resumes = reg.counter("sink.resumes", **labels)
+        self.crashes = reg.counter("sink.crashes", **labels)
         reg.gauge_fn("sink.ready_blocks", lambda: len(self._ready.items), **labels)
         reg.gauge_fn(
             "sink.active_sessions", lambda: len(self._expected_bytes), **labels
@@ -163,49 +163,8 @@ class SinkEngine:
         self._last_ping_at = float("-inf")
         self._m_pings = reg.counter("sink.pings", **labels)
         self._m_peer_dead = reg.counter("sink.peer_dead", **labels)
-        self._m_fallback_sessions = reg.counter("sink.fallback_sessions", **labels)
-        self._m_fallback_blocks = reg.counter("sink.fallback_blocks", **labels)
-
-    # -- backwards-compat stat views ------------------------------------------
-    @property
-    def blocks_delivered(self) -> int:
-        return int(self._m_delivered.total)
-
-    @property
-    def sessions_reclaimed(self) -> int:
-        return int(self._m_reclaimed.total)
-
-    @property
-    def stray_messages(self) -> int:
-        return int(self._m_stray.total)
-
-    @property
-    def checksum_mismatches(self) -> int:
-        return int(self._m_mismatches.total)
-
-    @property
-    def nacks_sent(self) -> int:
-        return int(self._m_nacks.total)
-
-    @property
-    def markers_sent(self) -> int:
-        return int(self._m_markers.total)
-
-    @property
-    def resumes(self) -> int:
-        return int(self._m_resumes.total)
-
-    @property
-    def crashes(self) -> int:
-        return int(self._m_crashes.total)
-
-    @property
-    def fallback_sessions(self) -> int:
-        return int(self._m_fallback_sessions.total)
-
-    @property
-    def fallback_blocks(self) -> int:
-        return int(self._m_fallback_blocks.total)
+        self.fallback_sessions = reg.counter("sink.fallback_sessions", **labels)
+        self.fallback_blocks = reg.counter("sink.fallback_blocks", **labels)
 
     # -- public -----------------------------------------------------------------
     def start(self) -> None:
@@ -320,7 +279,7 @@ class SinkEngine:
                 # In flight when its session was reclaimed (or a replay).
                 # The block's region may since have been refunded to a live
                 # session or revoked — not ours to touch.
-                self._m_stray.add()
+                self.stray_messages.add()
                 return
             yield from self._on_block_done(thread, msg)
         elif msg.type is CtrlType.MR_INFO_REQ:
@@ -331,7 +290,7 @@ class SinkEngine:
                 if granted:
                     yield from self._send_credits(thread, msg.session_id, granted)
             else:
-                self._m_stray.add()
+                self.stray_messages.add()
         elif msg.type is CtrlType.PING:
             # Link-level liveness (session id 0): echo the nonce so the
             # peer's estimator gets an unambiguous sample.
@@ -362,7 +321,7 @@ class SinkEngine:
                 self._dataset_done_total[msg.session_id] = msg.data
                 yield from self._maybe_finish(thread, msg.session_id)
             else:
-                self._m_stray.add()
+                self.stray_messages.add()
         else:  # pragma: no cover - defensive
             raise RuntimeError(f"sink got unexpected control message {msg.type}")
 
@@ -380,13 +339,13 @@ class SinkEngine:
             # ask the source to re-send its still-WAITING copy into the
             # same credit.  With repair off the session starves and dies
             # with a typed abort instead of delivering corrupt data.
-            self._m_mismatches.add()
+            self.checksum_mismatches.add()
             self.engine.trace(
                 "sink", "checksum_mismatch",
                 session=header.session_id, seq=header.seq,
             )
             if self.config.block_repair:
-                self._m_nacks.add()
+                self.nacks_sent.add()
                 yield from self.ctrl.send(
                     thread,
                     ControlMessage(
@@ -409,7 +368,7 @@ class SinkEngine:
                     yield from self._send_credits(thread, msg.session_id, granted)
             return
         block.finish(header, payload)
-        self._m_delivered.add()
+        self.blocks_delivered.add()
         for hdr, blk in self.reassembly.push(header, block):
             yield self._ready.put((hdr, blk))
         # An eager session reaches here only through the rendezvous
@@ -443,7 +402,7 @@ class SinkEngine:
         if self.pool is None or sid not in self._expected_bytes:
             # Reclaimed or unknown session: the WQE was consumed but the
             # payload has no home.  Counted, not fatal — like strays.
-            self._m_stray.add()
+            self.stray_messages.add()
             return
         self._last_activity[sid] = self.engine.now
         if self.reassembly.reject_duplicate(header, payload):
@@ -451,12 +410,12 @@ class SinkEngine:
         block = yield self.pool.get_free_blk()
         block.advertise()  # FREE → WAITING: the region now owns this seq
         if self.config.checksum_blocks and header.checksum != block_checksum(payload):
-            self._m_mismatches.add()
+            self.checksum_mismatches.add()
             self.engine.trace(
                 "sink", "checksum_mismatch", session=sid, seq=header.seq
             )
             if self.config.block_repair:
-                self._m_nacks.add()
+                self.nacks_sent.add()
                 yield from self.ctrl.send(
                     thread,
                     ControlMessage(
@@ -473,7 +432,7 @@ class SinkEngine:
                 self.pool.put_free_blk(block)
             return
         block.finish(header, payload)
-        self._m_delivered.add()
+        self.blocks_delivered.add()
         for hdr, blk in self.reassembly.push(header, block):
             yield self._ready.put((hdr, blk))
         yield from self._maybe_send_marker(thread, sid)
@@ -525,7 +484,7 @@ class SinkEngine:
                 ),
             )
             return
-        self._m_resumes.add()
+        self.resumes.add()
         self.engine.trace("sink", "session_resume", session=sid, marker=marker)
         if sid in self._expected_bytes:
             # The old incarnation is still live here (source-side crash):
@@ -633,7 +592,7 @@ class SinkEngine:
             )
             return
         marker = self._marker_upto.get(sid, 0)
-        self._m_fallback_sessions.add()
+        self.fallback_sessions.add()
         self.engine.trace("sink", "transport_fallback", session=sid, marker=marker)
         if sid in self._expected_bytes:
             # Un-consumed RDMA arrivals above the marker will be re-sent
@@ -715,7 +674,7 @@ class SinkEngine:
             if self.config.checksum_blocks and header.checksum != block_checksum(
                 payload
             ):
-                self._m_mismatches.add()
+                self.checksum_mismatches.add()
                 self.engine.trace(
                     "sink", "checksum_mismatch",
                     session=header.session_id, seq=header.seq,
@@ -724,8 +683,8 @@ class SinkEngine:
             yield from self.data_sink.write(thread, header.length, header, payload)
             if self._fallback_streams.get(sid) is not stream:
                 return
-            self._m_fallback_blocks.add()
-            self._m_delivered.add()
+            self.fallback_blocks.add()
+            self.blocks_delivered.add()
             cursor = header.seq + 1
             self._consumed_bytes[sid] = (
                 self._consumed_bytes.get(sid, 0) + header.length
@@ -839,7 +798,7 @@ class SinkEngine:
         restarted sink cannot tell them from garbage, so a resume
         re-writes them identically.
         """
-        self._m_crashes.add()
+        self.crashes.add()
         self.engine.trace("sink", "crash")
         for sid in list(self._expected_bytes):
             done = self.session_done.get(sid)
@@ -970,7 +929,7 @@ class SinkEngine:
         if delivered - self._marker_sent.get(session_id, 0) < interval:
             return
         self._marker_sent[session_id] = delivered
-        self._m_markers.add()
+        self.markers_sent.add()
         yield from self.ctrl.send(
             thread, ControlMessage(CtrlType.BLOCK_MARKER, session_id, delivered)
         )
@@ -1088,7 +1047,7 @@ class SinkEngine:
     def _reclaim_session(self, session_id: int, error: Exception = None) -> None:
         """Free everything a dead session still pins at the sink."""
         assert self.pool is not None
-        self._m_reclaimed.add()
+        self.sessions_reclaimed.add()
         self.engine.trace("sink", "gc_reclaim", session=session_id)
         # Parked out-of-order arrivals and undelivered in-order blocks
         # both hold pool blocks with payload.

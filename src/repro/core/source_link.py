@@ -266,15 +266,18 @@ class SourceLink:
         reg = self.engine.metrics
         self._m_idx = reg.sequence("source_link")
         labels = {"link": self._m_idx}
-        self._m_mr_requests = reg.counter("source.mr_requests", **labels)
-        self._m_stray = reg.counter("source.stray_messages", **labels)
-        self._m_crashes = reg.counter("source.crashes", **labels)
+        self.mr_requests_sent = reg.counter("source.mr_requests", **labels)
+        #: Inbound control messages for finished/aborted/unknown sessions
+        #: (stale retransmission replies, duplicate ACKs): counted, not
+        #: fatal, since with retries in play they are expected traffic.
+        self.stray_messages = reg.counter("source.stray_messages", **labels)
+        self.crashes = reg.counter("source.crashes", **labels)
         self._m_pings = reg.counter("source.pings", **labels)
         self._m_pongs = reg.counter("source.pongs", **labels)
         self._m_peer_dead = reg.counter("source.peer_dead", **labels)
-        self._m_breaker_trips = reg.counter("source.breaker_trips", **labels)
-        self._m_fallbacks = reg.counter("source.fallbacks", **labels)
-        self._m_repromotions = reg.counter("source.repromotions", **labels)
+        self.breaker_trips = reg.counter("source.breaker_trips", **labels)
+        self.fallbacks = reg.counter("source.fallbacks", **labels)
+        self.repromotions = reg.counter("source.repromotions", **labels)
         reg.gauge_fn("source.active_jobs", lambda: self._active_jobs, **labels)
         reg.gauge_fn("source.inflight_wrs", lambda: len(self._inflight), **labels)
         reg.gauge_fn("source.rto_seconds", lambda: self.health.rtt.rto, **labels)
@@ -305,7 +308,6 @@ class SourceLink:
         #: live rotation in ``self.data`` shrinks as channels die.
         self._all_data_qps = list(data.qps)
 
-    # -- backwards-compat stat views ------------------------------------------
     @property
     def session_load(self) -> int:
         """Live transfer sessions multiplexed on this link right now.
@@ -316,33 +318,6 @@ class SourceLink:
         shrink per-door concurrency.
         """
         return len(self.jobs)
-
-    @property
-    def mr_requests_sent(self) -> int:
-        return int(self._m_mr_requests.total)
-
-    @property
-    def stray_messages(self) -> int:
-        """Inbound control messages for finished/aborted/unknown sessions
-        (stale retransmission replies, duplicate ACKs) — counted, not
-        fatal: with retries in play they are expected traffic."""
-        return int(self._m_stray.total)
-
-    @property
-    def crashes(self) -> int:
-        return int(self._m_crashes.total)
-
-    @property
-    def breaker_trips(self) -> int:
-        return int(self._m_breaker_trips.total)
-
-    @property
-    def fallbacks(self) -> int:
-        return int(self._m_fallbacks.total)
-
-    @property
-    def repromotions(self) -> int:
-        return int(self._m_repromotions.total)
 
     def _breaker_for(self, qp_num: int) -> ChannelBreaker:
         if self._host_pool is not None:
@@ -525,7 +500,7 @@ class SourceLink:
         :class:`EndpointCrashed` and all volatile state (loaded blocks,
         repair copies, the credit ledger) is lost.  The sink's restart
         markers make the sessions resumable afterwards."""
-        self._m_crashes.add()
+        self.crashes.add()
         self.engine.trace("link", "crash")
         for job in list(self.jobs.values()):
             self._abort_job(
@@ -798,7 +773,7 @@ class SourceLink:
                 # One request in flight per *link*, however many jobs are
                 # starved — the grant lands in the shared ledger anyway.
                 self.ledger.request_outstanding = True
-                self._m_mr_requests.add()
+                self.mr_requests_sent.add()
                 if attempts:
                     job._count_ctrl_retry()
                 yield from self.ctrl.send(
@@ -934,7 +909,7 @@ class SourceLink:
                 if wc.ok:
                     breaker.record_success()
                 elif breaker.record_failure(self.engine.now):
-                    self._m_breaker_trips.add()
+                    self.breaker_trips.add()
                     self.engine.trace(
                         "link", "breaker_trip", qp=wc.qp_num,
                         trips=breaker.trips,
@@ -1158,7 +1133,7 @@ class SourceLink:
                 if job is None:
                     # Finished or aborted session: stale replies, markers
                     # and duplicate ACKs are expected under retransmission.
-                    self._m_stray.add()
+                    self.stray_messages.add()
                     continue
                 if msg.type is CtrlType.DATASET_DONE_ACK:
                     job.finished_at = self.engine.now
@@ -1182,7 +1157,7 @@ class SourceLink:
                 elif msg.type in job._replies:
                     yield job._replies[msg.type].put(msg)
                 else:
-                    self._m_stray.add()
+                    self.stray_messages.add()
 
     def _apply_marker(self, job: TransferJob, upto: int) -> None:
         """A cumulative consumed-prefix ack: everything below ``upto`` is
@@ -1216,7 +1191,7 @@ class SourceLink:
         if block is None:
             # A repair for this seq is already in flight (ownership sits
             # in _inflight) — or the NACK is stale.
-            self._m_stray.add()
+            self.stray_messages.add()
             return
         attempts = job.nack_attempts.get(seq, 0) + 1
         job.nack_attempts[seq] = attempts
@@ -1293,7 +1268,7 @@ class SourceLink:
         job.fallbacks += 1
         job._fallback_pump_done = False
         job.repromote_ready = False
-        self._m_fallbacks.add()
+        self.fallbacks.add()
         # Halt the RDMA-plane threads; they recycle whatever they hold.
         # Blocks parked in the loaded queue and repair copies are
         # reclaimed here — the fallback pump re-reads straight from the
@@ -1427,7 +1402,7 @@ class SourceLink:
                 ),
             )
             return
-        self._m_repromotions.add()
+        self.repromotions.add()
         job.repromotions += 1
         self.engine.trace("link", "repromote", session=sid, start_seq=resume_seq)
         # Re-arm the RDMA plane exactly like a session resume, minus the

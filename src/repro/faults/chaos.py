@@ -304,13 +304,13 @@ def run_chaos(
             cfg.checksum_blocks
             and not injector.sink_crashes_fired
             and not injector.source_crashes_fired
-            and not sink_engine.sessions_reclaimed
-            and not sink_engine.stray_messages
-            and sink_engine.checksum_mismatches != injector.payload_corruptions
+            and not sink_engine.sessions_reclaimed.count
+            and not sink_engine.stray_messages.count
+            and sink_engine.checksum_mismatches.count != injector.payload_corruptions
         ):
             leaks.append(
                 f"{injector.payload_corruptions} corruptions injected but only"
-                f" {sink_engine.checksum_mismatches} detected"
+                f" {sink_engine.checksum_mismatches.count} detected"
             )
 
     byte_exact: Optional[bool] = None
@@ -350,26 +350,28 @@ def run_chaos(
         qp_kills_fired=injector.qp_kills_fired,
         resends=outcome.resends if outcome else 0,
         ctrl_retries=outcome.ctrl_retries if outcome else 0,
-        stray_source=link.stray_messages if link is not None else 0,
-        stray_sink=sink_engine.stray_messages if sink_engine is not None else 0,
+        stray_source=link.stray_messages.count if link is not None else 0,
+        stray_sink=sink_engine.stray_messages.count if sink_engine is not None else 0,
         sessions_reclaimed=(
-            sink_engine.sessions_reclaimed if sink_engine is not None else 0
+            sink_engine.sessions_reclaimed.count if sink_engine is not None else 0
         ),
-        duplicates=sink_engine.reassembly.duplicates if sink_engine is not None else 0,
+        duplicates=(
+            sink_engine.reassembly.duplicates.count if sink_engine is not None else 0
+        ),
         checksum_mismatches=(
-            sink_engine.checksum_mismatches if sink_engine is not None else 0
+            sink_engine.checksum_mismatches.count if sink_engine is not None else 0
         ),
         repairs=outcome.repairs if outcome else 0,
-        markers_sent=sink_engine.markers_sent if sink_engine is not None else 0,
+        markers_sent=sink_engine.markers_sent.count if sink_engine is not None else 0,
         resume_attempts_used=holder.get("resume_attempts_used", 0),
         resumed_from=outcome.resumed_from if outcome else 0,
         data_bytes_sent=data_bytes_sent,
-        fallbacks=link.fallbacks if link is not None else 0,
+        fallbacks=link.fallbacks.count if link is not None else 0,
         fallback_blocks=(
-            sink_engine.fallback_blocks if sink_engine is not None else 0
+            sink_engine.fallback_blocks.count if sink_engine is not None else 0
         ),
-        repromotions=link.repromotions if link is not None else 0,
-        breaker_trips=link.breaker_trips if link is not None else 0,
+        repromotions=link.repromotions.count if link is not None else 0,
+        breaker_trips=link.breaker_trips.count if link is not None else 0,
         heartbeat_drops=injector.heartbeat_drops,
         fallback_denials=injector.fallback_denials,
     )

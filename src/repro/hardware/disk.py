@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator
 
-from repro.sim.monitor import Counter
 from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,8 +55,9 @@ class DiskArray:
         self.profile = profile
         self.name = name
         self._lanes = Resource(engine, capacity=profile.lanes)
-        self.bytes_written = Counter(f"{name}.written")
-        self.bytes_read = Counter(f"{name}.read")
+        reg = engine.metrics
+        self.bytes_written = reg.counter("disk.bytes_written", disk=name)
+        self.bytes_read = reg.counter("disk.bytes_read", disk=name)
 
     def _lane_time(self, nbytes: int, rate: float) -> float:
         # Each lane delivers its share of the aggregate bandwidth.

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator
 
-from repro.sim.monitor import Counter
 from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -80,8 +79,9 @@ class Nic:
         #: order — and the ``max(now, free) + service`` floats — exactly.
         self._wqe_free = [0.0] * profile.engines
         self._read_engine = Resource(engine, capacity=1)
-        self.wqes_processed = Counter(f"{name}.wqes")
-        self.read_requests_served = Counter(f"{name}.reads")
+        reg = engine.metrics
+        self.wqes_processed = reg.counter("nic.wqes_processed", nic=name)
+        self.read_requests_served = reg.counter("nic.read_requests_served", nic=name)
 
     # -- fluid booking ------------------------------------------------------------
     def book_wqe(self) -> float:

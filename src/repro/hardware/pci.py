@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro.sim.monitor import Counter
 from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -35,7 +34,8 @@ class PcieBus:
         #: the exact floats of the discrete request/timeout/release
         #: chain, so DMA completions are bit-identical in both modes.
         self._fluid_free = 0.0
-        self.bytes_moved = Counter("pcie_bytes")
+        reg = engine.metrics
+        self.bytes_moved = reg.counter("pcie.bytes_moved", i=reg.sequence("pcie"))
 
     def book(self, nbytes: int) -> float:
         """Fluid mode: book a DMA of ``nbytes`` (> 0) on the bus.

@@ -68,22 +68,13 @@ class Link:
         reg = engine.metrics
         labels = {"link": name, "i": reg.sequence("link")}
         self.bytes_sent = reg.counter("link.bytes_sent", **labels)
-        self._m_flap_stalls = reg.counter("link.flap_stalls", **labels)
-        self._m_latency_spikes = reg.counter("link.latency_spikes", **labels)
+        self.flap_stalls = reg.counter("link.flap_stalls", **labels)
+        self.latency_spikes = reg.counter("link.latency_spikes", **labels)
         #: Absolute sim time until which the link is down (flap injection).
         self._down_until = 0.0
         #: Optional fault hook ``(nbytes) -> float``: extra serialisation
         #: delay in seconds (latency spike), 0.0 for a clean transit.
         self.fault_hook = None
-
-    # -- backwards-compat stat views ------------------------------------------
-    @property
-    def flap_stalls(self) -> int:
-        return int(self._m_flap_stalls.total)
-
-    @property
-    def latency_spikes(self) -> int:
-        return int(self._m_latency_spikes.total)
 
     def fail_for(self, duration: float) -> None:
         """Take the link down for ``duration`` seconds (a flap).
@@ -128,7 +119,7 @@ class Link:
             # mode, where the outage semantics are exact.
             arrival = engine.now
             while arrival < self._down_until:
-                self._m_flap_stalls.add()
+                self.flap_stalls.add()
                 arrival = arrival + (self._down_until - arrival)
             free = self._fluid_free
             start = arrival if arrival > free else free
@@ -138,19 +129,19 @@ class Link:
             self.bytes_sent.add(nbytes)
             return
         while self.engine.now < self._down_until:
-            self._m_flap_stalls.add()
+            self.flap_stalls.add()
             yield self.engine.timeout(self._down_until - self.engine.now)
         yield self._wire.request()
         try:
             # A flap may have started while we queued for the wire.
             while self.engine.now < self._down_until:
-                self._m_flap_stalls.add()
+                self.flap_stalls.add()
                 yield self.engine.timeout(self._down_until - self.engine.now)
             delay = nbytes / self.bytes_per_second
             if self.fault_hook is not None:
                 spike = self.fault_hook(nbytes)
                 if spike > 0:
-                    self._m_latency_spikes.add()
+                    self.latency_spikes.add()
                     delay += spike
             yield self.engine.timeout(delay)
         finally:

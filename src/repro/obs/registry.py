@@ -8,10 +8,10 @@ same call site is a get-or-create: two components asking for the same
 name+labels share one metric, and label-partitioned families
 (per-session, per-QP, per-link) fall out of passing different labels.
 
-The numeric API of :class:`CounterMetric` is intentionally identical to
-:class:`repro.sim.monitor.Counter` (``add`` / ``total`` / ``count`` /
-``name``) so existing call sites and tests keep working unchanged when
-a plain Counter attribute is swapped for a registry counter.
+This is the simulation's only counter type.  Components hold their
+metrics as public attributes and callers read them directly:
+``.count`` for the number of events, ``.total`` for summed amounts
+(bytes, credits), ``.value`` for gauges.
 """
 
 from __future__ import annotations
@@ -52,9 +52,8 @@ class CounterMetric(_Metric):
     """A monotonically increasing sum plus an event count.
 
     ``add(amount)`` adds ``amount`` to :attr:`total` and bumps
-    :attr:`count` by one — the same contract as
-    :class:`repro.sim.monitor.Counter`, so byte counters track both the
-    byte total and the number of additions.
+    :attr:`count` by one, so a byte counter tracks both the byte total
+    and the number of transfers behind it.
     """
 
     kind = "counter"

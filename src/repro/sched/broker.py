@@ -56,7 +56,7 @@ from repro.core.errors import (
     TransferError,
 )
 from repro.core.health import BreakerState, ChannelBreaker
-from repro.core.jitter import jitter_fraction, jittered
+from repro.core.jitter import jittered
 from repro.core.middleware import allocate_session_id
 from repro.sched.jobs import FileState, FileTask, Job, JobState, TransferSpec
 from repro.sched.journal import Journal, replay
@@ -70,7 +70,6 @@ from repro.sim.events import Event
 __all__ = [
     "TenantPolicy",
     "SchedulerConfig",
-    "BrokerConfig",
     "RftpDoor",
     "TransferBroker",
 ]
@@ -158,18 +157,6 @@ class SchedulerConfig:
             raise ValueError("watchdog_rto_multiplier must be positive")
         if self.watchdog_min_interval <= 0:
             raise ValueError("watchdog_min_interval must be positive")
-
-
-#: Historical name, kept for callers of the PR 6 API.
-BrokerConfig = SchedulerConfig
-
-
-def _retry_jitter_fraction(seed: int, job_id: str, path: str,
-                           attempt: int) -> float:
-    """Deterministic per-task jitter in [0, 1) — a thin view over the
-    shared :func:`repro.core.jitter.jitter_fraction` (same digest key,
-    bit-identical schedules), kept under the PR 7 name for callers."""
-    return jitter_fraction(seed, job_id, path, attempt)
 
 
 class RftpDoor:

@@ -6,7 +6,8 @@ built on: an event-heap :class:`~repro.sim.engine.Engine`, generator-based
 resources (:class:`~repro.sim.resources.Store`,
 :class:`~repro.sim.resources.Resource`,
 :class:`~repro.sim.resources.Container`), deterministic named random
-streams, and lightweight time-series monitors.
+streams, and a time-weighted level statistic.  Counters, gauges and
+histograms live in the engine's :mod:`repro.obs.registry`.
 
 The design deliberately mirrors the small core of ``simpy`` so that the
 rest of the codebase reads like ordinary process-oriented simulation code,
@@ -31,14 +32,13 @@ from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process, ProcessKilled
 from repro.sim.resources import Container, Resource, Store
 from repro.sim.rng import RandomStreams
-from repro.sim.monitor import Counter, TimeSeries, TimeWeightedStat
+from repro.sim.monitor import TimeWeightedStat
 from repro.sim.trace import Tracer, TraceRecord
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Container",
-    "Counter",
     "Engine",
     "Event",
     "Process",
@@ -48,7 +48,6 @@ __all__ = [
     "SimulationError",
     "Store",
     "StopEngine",
-    "TimeSeries",
     "TimeWeightedStat",
     "Timeout",
     "TraceRecord",

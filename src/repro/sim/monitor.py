@@ -1,87 +1,17 @@
-"""Measurement helpers: counters, event series, and time-weighted stats.
+"""Time-weighted statistics for piecewise-constant levels.
 
-These are the building blocks for the bandwidth / CPU-utilisation /
-latency-percentile meters in :mod:`repro.analysis`.
+Counters, gauges and histograms live in :mod:`repro.obs.registry`; this
+module keeps only the time integral behind CPU-utilisation accounting.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
-
-import numpy as np
-
-from repro.obs.stats import exact_percentile
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine
 
-__all__ = ["Counter", "TimeSeries", "TimeWeightedStat"]
-
-
-class Counter:
-    """A monotonically accumulating quantity (bytes, events, drops...)."""
-
-    __slots__ = ("name", "total", "count")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.total: float = 0.0
-        self.count: int = 0
-
-    def add(self, amount: float = 1.0) -> None:
-        self.total += amount
-        self.count += 1
-
-    def reset(self) -> None:
-        self.total = 0.0
-        self.count = 0
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Counter {self.name}: total={self.total} n={self.count}>"
-
-
-class TimeSeries:
-    """A timestamped sequence of samples (e.g. per-block latency)."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._times: List[float] = []
-        self._values: List[float] = []
-
-    def record(self, time: float, value: float) -> None:
-        self._times.append(time)
-        self._values.append(value)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.asarray(self._times)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray(self._values)
-
-    def mean(self) -> float:
-        return float(np.mean(self._values)) if self._values else float("nan")
-
-    def percentile(self, q: float) -> float:
-        if not self._values:
-            return float("nan")
-        return exact_percentile(self._values, q)
-
-    def rate(self, since: float = 0.0, until: Optional[float] = None) -> float:
-        """Sum of values per second over ``[since, until]``."""
-        if not self._values:
-            return 0.0
-        times = self.times
-        end = until if until is not None else float(times[-1])
-        span = end - since
-        if span <= 0:
-            return 0.0
-        mask = (times >= since) & (times <= end)
-        return float(np.sum(self.values[mask]) / span)
+__all__ = ["TimeWeightedStat"]
 
 
 class TimeWeightedStat:
@@ -138,7 +68,3 @@ class TimeWeightedStat:
         self._integral = 0.0
         self._last_time = self._epoch = self.engine._now
 
-
-def snapshot_interval(stat: TimeWeightedStat) -> Tuple[float, float]:
-    """Return ``(integral, span)`` since the stat's epoch (testing aid)."""
-    return stat.integral(), stat.engine.now - stat._epoch

@@ -130,9 +130,8 @@ class QueuePair:
         self._next_complete = 0
         self._done: Dict[int, Optional[WorkCompletion]] = {}
 
-        # Registry counters keep the monitor.Counter API (.add/.total/
-        # .count); host + qp_num labels make them unique per endpoint
-        # (qp_num allocation is per device, one device per host here).
+        # Host + qp_num labels make the registry counters unique per
+        # endpoint (qp_num allocation is per device, one device per host).
         reg = self.engine.metrics
         labels = {"host": device.host.name, "qp": qp_num}
         self.rnr_naks = reg.counter("qp.rnr_naks", **labels)

@@ -171,6 +171,6 @@ def test_shared_ledger_and_pool_across_sessions():
     assert p.ok
     link = captured["link"]
     # One ledger served both sessions; the pool fully recycled.
-    assert link.ledger.total_received > 0
+    assert link.ledger.total_received.total > 0
     assert link.pool.free_count == len(link.pool)
     assert not link._inflight

@@ -111,6 +111,32 @@ def test_chaos_snapshot_covers_all_subsystems():
     assert {"reassembly.duplicates", "reassembly.parked"} <= names
     assert "data.qp_blocks_posted" in names
     assert {"qp.bytes_sent", "qp.rnr_naks"} <= names
+    assert {"nic.wqes_processed", "pcie.bytes_moved"} <= names
     # Faults actually drove the resend counter family.
     per_qp = engines[0].metrics.family("data.qp_blocks_posted")
     assert sum(m.total for m in per_qp) > 0
+
+
+def test_hardware_counters_are_distinct_per_host_registry_metrics():
+    from repro.faults import FaultPlan, run_chaos
+    from repro.testbeds import ani_wan
+
+    tb = ani_wan()
+    result = run_chaos(tb, total_bytes=8 * 1024 * 1024, plan=FaultPlan(seed=0))
+    assert result.completed and result.byte_exact
+    reg = tb.engine.metrics
+    names = {rec["metric"] for rec in reg.snapshot()}
+    assert {"nic.wqes_processed", "pcie.bytes_moved", "disk.bytes_written"} <= names
+    # Hosts are built source first, so their PCIe buses are i=0 and i=1.
+    pcie = [reg.get("pcie.bytes_moved", i=i) for i in (0, 1)]
+    assert pcie[0] is tb.src.pcie.bytes_moved
+    assert pcie[1] is tb.dst.pcie.bytes_moved
+    nics = [reg.get("nic.wqes_processed", nic=h.nic.name) for h in (tb.src, tb.dst)]
+    assert nics[0] is tb.src.nic.wqes_processed
+    assert nics[1] is tb.dst.nic.wqes_processed
+    for pair in (pcie, nics):
+        assert pair[0] is not pair[1]
+        assert pair[0].total > 0 and pair[1].total > 0
+    # Every byte one host's NIC fetches over its bus, the peer's NIC
+    # places over its own, so the two totals agree.
+    assert pcie[0].total == pcie[1].total >= 8 * 1024 * 1024

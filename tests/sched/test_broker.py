@@ -3,10 +3,11 @@
 import pytest
 
 from repro.apps.rftp import RftpClient, RftpServer
+from repro.core.jitter import jitter_fraction
 from repro.sched import (
-    BrokerConfig,
     FileState,
     JobState,
+    SchedulerConfig,
     TenantPolicy,
     TransferSpec,
 )
@@ -133,9 +134,9 @@ def test_broker_and_policy_validation():
     with pytest.raises(ValueError):
         TenantPolicy(max_inflight=0)
     with pytest.raises(ValueError):
-        BrokerConfig(max_active=0)
+        SchedulerConfig(max_active=0)
     with pytest.raises(ValueError):
-        BrokerConfig(max_attempts=0)
+        SchedulerConfig(max_attempts=0)
     with pytest.raises(ValueError):
         TransferSpec("", MiB)
     with pytest.raises(ValueError):
@@ -144,29 +145,27 @@ def test_broker_and_policy_validation():
 
 def test_retry_and_watchdog_config_validation():
     with pytest.raises(ValueError):
-        BrokerConfig(retry_backoff_factor=0.5)
+        SchedulerConfig(retry_backoff_factor=0.5)
     with pytest.raises(ValueError):
-        BrokerConfig(retry_backoff=2.0, retry_backoff_cap=1.0)
+        SchedulerConfig(retry_backoff=2.0, retry_backoff_cap=1.0)
     with pytest.raises(ValueError):
-        BrokerConfig(retry_jitter=1.5)
+        SchedulerConfig(retry_jitter=1.5)
     with pytest.raises(ValueError):
-        BrokerConfig(retry_jitter=-0.1)
+        SchedulerConfig(retry_jitter=-0.1)
     with pytest.raises(ValueError):
-        BrokerConfig(watchdog_rto_multiplier=0)
+        SchedulerConfig(watchdog_rto_multiplier=0)
     with pytest.raises(ValueError):
-        BrokerConfig(watchdog_min_interval=0)
+        SchedulerConfig(watchdog_min_interval=0)
 
 
 def test_retry_jitter_is_deterministic_per_task_and_attempt():
-    from repro.sched.broker import _retry_jitter_fraction
-
-    a = _retry_jitter_fraction(0, "job-1", "/x", 1)
-    assert a == _retry_jitter_fraction(0, "job-1", "/x", 1)
+    a = jitter_fraction(0, "job-1", "/x", 1)
+    assert a == jitter_fraction(0, "job-1", "/x", 1)
     assert 0.0 <= a < 1.0
     # Any coordinate change de-synchronises the retry.
-    assert a != _retry_jitter_fraction(0, "job-1", "/x", 2)
-    assert a != _retry_jitter_fraction(0, "job-1", "/y", 1)
-    assert a != _retry_jitter_fraction(7, "job-1", "/x", 1)
+    assert a != jitter_fraction(0, "job-1", "/x", 2)
+    assert a != jitter_fraction(0, "job-1", "/y", 1)
+    assert a != jitter_fraction(7, "job-1", "/x", 1)
 
 
 def test_retry_backoff_is_capped_exponential():
@@ -174,7 +173,7 @@ def test_retry_backoff_is_capped_exponential():
 
     tb = roce_lan()
     server, client = wire(tb)
-    cfg = BrokerConfig(retry_backoff=0.5, retry_backoff_factor=2.0,
+    cfg = SchedulerConfig(retry_backoff=0.5, retry_backoff_factor=2.0,
                        retry_backoff_cap=3.0, retry_jitter=0.0)
     out = {}
 
@@ -194,7 +193,7 @@ def test_retry_backoff_is_capped_exponential():
 
     # With jitter on, the delay stretches by at most the jitter fraction
     # and is reproducible (seeded, not drawn from a shared RNG).
-    broker.config = BrokerConfig(retry_backoff=0.5, retry_jitter=0.25)
+    broker.config = SchedulerConfig(retry_backoff=0.5, retry_jitter=0.25)
     task.attempts = 1
     d1 = broker._retry_delay(task)
     assert 0.5 <= d1 <= 0.5 * 1.25
@@ -238,7 +237,7 @@ def test_cancel_unparks_a_file_waiting_in_retry_backoff():
     from repro.sched.broker import TransferBroker
 
     tb = roce_lan()
-    cfg = BrokerConfig(retry_backoff=60.0, retry_backoff_cap=60.0,
+    cfg = SchedulerConfig(retry_backoff=60.0, retry_backoff_cap=60.0,
                        retry_jitter=0.0, max_attempts=3, breaker_failures=5)
     out = {}
 

@@ -1,43 +1,8 @@
-"""Counters, time series, and time-weighted statistics."""
+"""Time-weighted statistics."""
 
 import pytest
 
-from repro.sim import Counter, TimeSeries, TimeWeightedStat
-
-
-def test_counter_accumulates():
-    c = Counter("bytes")
-    c.add(10)
-    c.add(5)
-    assert c.total == 15
-    assert c.count == 2
-    c.reset()
-    assert c.total == 0 and c.count == 0
-
-
-def test_timeseries_statistics():
-    ts = TimeSeries("lat")
-    for t, v in [(0.0, 1.0), (1.0, 3.0), (2.0, 5.0)]:
-        ts.record(t, v)
-    assert len(ts) == 3
-    assert ts.mean() == pytest.approx(3.0)
-    assert ts.percentile(50) == pytest.approx(3.0)
-
-
-def test_timeseries_rate_window():
-    ts = TimeSeries("bytes")
-    for t in range(1, 11):
-        ts.record(float(t), 100.0)
-    # 1000 bytes over 10 seconds.
-    assert ts.rate(since=0.0) == pytest.approx(100.0)
-    # Last 5 samples over the [5, 10] window.
-    assert ts.rate(since=5.0) == pytest.approx(600.0 / 5.0)
-
-
-def test_timeseries_empty():
-    ts = TimeSeries()
-    assert ts.rate() == 0.0
-    assert ts.mean() != ts.mean()  # NaN
+from repro.sim import TimeWeightedStat
 
 
 def test_time_weighted_average(engine):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import BandwidthMeter, Series, Table, summarize_latencies
+from repro.analysis import Series, Table, summarize_latencies
 from repro.tcp import TcpMode
 from repro.testbeds import TESTBEDS, ani_wan, infiniband_lan, roce_lan
 from repro.verbs import RdmaArch
@@ -94,20 +94,6 @@ def test_wan_tcp_connection_bdp_buffers():
 
 
 # -- analysis ---------------------------------------------------------------------
-def test_bandwidth_meter(engine):
-    meter = BandwidthMeter(engine, "m")
-
-    def proc(env):
-        for _ in range(10):
-            yield env.timeout(0.1)
-            meter.record(125_000_000 * 0.1)
-
-    engine.process(proc(engine))
-    engine.run()
-    assert meter.gbps() == pytest.approx(1.0, rel=1e-6)
-    assert meter.total_bytes == pytest.approx(125_000_000)
-
-
 def test_latency_summary():
     stats = summarize_latencies([1e-6, 2e-6, 3e-6, 100e-6])
     assert stats["p50"] <= stats["p90"] <= stats["p99"] <= stats["max"]
