@@ -9,10 +9,13 @@ calling thread here, in one place.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
 
+from repro.core.config import CTRL_RECV_DEPTH
 from repro.core.health import ChannelBreaker
 from repro.core.messages import ControlMessage, CTRL_MSG_BYTES, DataBlockWire
+from repro.core.pool import ResourcePool
+from repro.sim.resources import Store
 from repro.verbs.cq import CompletionChannel
 from repro.verbs.errors import QpStateError
 from repro.verbs.qp import QpState
@@ -22,8 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.blocks import SourceBlock
     from repro.core.config import ProtocolConfig
     from repro.core.credits import Credit
-    from repro.core.messages import BlockHeader
-    from repro.core.pool import BlockPool, ResourcePool
+    from repro.core.pool import BlockPool
     from repro.hardware.cpu import CpuThread
     from repro.hardware.host import Host
     from repro.verbs.cq import CompletionQueue
@@ -32,8 +34,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ControlChannel",
     "DataChannels",
-    "HostChannelPool",
+    "DataPlane",
     "NoLiveChannelError",
+    "SharedDataPlane",
 ]
 
 
@@ -47,7 +50,7 @@ class NoLiveChannelError(RuntimeError):
 class ControlChannel:
     """SEND/RECV messaging over the dedicated control QP."""
 
-    def __init__(self, qp: "QueuePair", recv_depth: int = 128) -> None:
+    def __init__(self, qp: "QueuePair", recv_depth: int = CTRL_RECV_DEPTH) -> None:
         self.qp = qp
         self.engine = qp.engine
         self.profile = qp.device.arch_profile
@@ -147,8 +150,6 @@ class DataChannels:
         for qp in qps:
             self._bind_qp_counter(qp.qp_num)
         reg.gauge_fn("data.alive_qps", lambda: self.alive_count, i=self._idx)
-        #: QPs removed from the rotation after entering ERROR (failover).
-        self.dead: List["QueuePair"] = []
         #: Optional circuit-breaker lookup ``qp_num -> ChannelBreaker``;
         #: when set, :meth:`_pick` skips quarantined (OPEN) channels.  A
         #: QP that is RTS but quarantined does NOT count as lost: if the
@@ -179,7 +180,6 @@ class DataChannels:
             if qp.state is QpState.RTS:
                 return None
             del self.qps[i]
-            self.dead.append(qp)
             self._m_detached.add()
             self.engine.trace("data", "detach", qp=qp_num, alive=self.alive_count)
             return qp
@@ -235,76 +235,41 @@ class DataChannels:
                 breaker.note_post(now)
         return best
 
-    def post_write(
+    def post_block(
         self,
         thread: "CpuThread",
         block: "SourceBlock",
-        credit: "Credit",
-        header: "BlockHeader",
-        wr_id: Optional[int] = None,
-    ) -> Generator:
-        """Post one block as an RDMA WRITE against the credit's region.
-
-        ``wr_id`` defaults to the header's sequence number; multi-session
-        links pass a link-unique id so completions route unambiguously.
-        """
-        while True:
-            qp = self._pick()
-            while qp.send_room == 0 and qp.state is QpState.RTS:
-                yield self.engine.timeout(self._BACKOFF)
-            yield thread.exec(self.profile.post_send_seconds)
-            wire = DataBlockWire(
-                header=header, payload=block.payload, block_id=credit.block_id
-            )
-            try:
-                qp.post_send(
-                    SendWR(
-                        opcode=Opcode.RDMA_WRITE,
-                        length=header.wire_bytes,
-                        wr_id=header.seq if wr_id is None else wr_id,
-                        remote_addr=credit.addr,
-                        rkey=credit.rkey,
-                        payload=wire,
-                    )
-                )
-            except QpStateError:
-                # The chosen QP died between pick and post; fail over to a
-                # surviving channel (or let _pick raise when none remain).
-                continue
-            break
-        self.blocks_posted.add()
-        self._m_posted_by_qp[qp.qp_num].add()
-
-    def post_send_block(
-        self,
-        thread: "CpuThread",
-        block: "SourceBlock",
-        header: "BlockHeader",
+        credit: Optional["Credit"],
         wr_id: int,
     ) -> Generator:
-        """Post one block as a two-sided SEND — the *eager* transport.
+        """Post one loaded block on the least-loaded live QP.
 
-        No credit precedes this: the receiver's shared receive queue
-        supplies the landing buffer, so a small block costs one shared
-        WQE instead of an MR exchange plus a dedicated region.  An empty
-        SRQ shows up as RNR NAK + retry inside the QP, exactly the
-        backpressure the rendezvous path expresses through credits.
+        With a credit the block rides an RDMA WRITE into the credit's
+        region (rendezvous).  Without one it rides a two-sided SEND — the
+        *eager* transport: the receiver's shared receive queue supplies
+        the landing buffer, so a small block costs one shared WQE instead
+        of an MR exchange plus a dedicated region.  An empty SRQ shows up
+        as RNR NAK + retry inside the QP, exactly the backpressure the
+        rendezvous path expresses through credits.
         """
+        header = block.header
+        length = header.wire_bytes
+        if credit is None:
+            wire = DataBlockWire(header=header, payload=block.payload)
+            wr = SendWR(opcode=Opcode.SEND, length=length, wr_id=wr_id, payload=wire)
+        else:
+            wire = DataBlockWire(header, block.payload, block_id=credit.block_id)
+            wr = SendWR(
+                opcode=Opcode.RDMA_WRITE, length=length, wr_id=wr_id,
+                remote_addr=credit.addr, rkey=credit.rkey, payload=wire,
+            )
         while True:
             qp = self._pick()
             while qp.send_room == 0 and qp.state is QpState.RTS:
                 yield self.engine.timeout(self._BACKOFF)
             yield thread.exec(self.profile.post_send_seconds)
-            wire = DataBlockWire(header=header, payload=block.payload)
             try:
-                qp.post_send(
-                    SendWR(
-                        opcode=Opcode.SEND,
-                        length=header.wire_bytes,
-                        wr_id=wr_id,
-                        payload=wire,
-                    )
-                )
+                qp.post_send(wr)
             except QpStateError:
                 # The chosen QP died between pick and post; fail over to a
                 # surviving channel (or let _pick raise when none remain).
@@ -313,41 +278,39 @@ class DataChannels:
         self.blocks_posted.add()
         self._m_posted_by_qp[qp.qp_num].add()
 
-    @property
-    def outstanding(self) -> int:
-        # Detached QPs still drain flush completions; count them so the
-        # chaos audit's "no stranded WRs" check covers failover too.
-        return sum(qp.send_outstanding for qp in self.qps) + sum(
-            qp.send_outstanding for qp in self.dead
-        )
 
+class DataPlane:
+    """The data half of one connection set (§IV, Figure 2): the data
+    QPs sharing one send CQ and one registered source block pool.
 
-class HostChannelPool:
-    """Shared data-plane for every link to one ``(host, port)`` peer.
+    Every :class:`~repro.core.source_link.SourceLink` rides exactly one
+    plane, which owns everything the link's data traffic shares: the
+    :class:`DataChannels` rotation, the send CQ, the block pool, the list
+    of every data QP ever opened (in creation order — fault injection
+    indexes it while the live rotation shrinks), the wr_id space and the
+    per-QP circuit breakers.
 
-    In srq mode (``config.use_srq``) the middleware opens the data-plane
-    *once per peer host*: ``qp_pool_size`` QPs sharing one send CQ, one
-    registered source block pool, and a :class:`~repro.core.pool.ResourcePool`
-    of session leases.  Links lease a slot instead of creating
-    ``num_channels`` dedicated QPs and a dedicated pool each — per-host
-    pinned memory and QP count stay constant as session concurrency
-    grows, which is the whole point of the SRQ design.
-
-    The pool owns the one :class:`CompletionChannel` on the shared send
-    CQ and runs the completion dispatcher: every posted WR is registered
-    in :attr:`routes` (wr_id → owning link) and its completion is routed
-    to that link's inbox.  Circuit breakers are pool-level too — a
-    flapping shared QP is quarantined for every rider at once.
+    This base class is the *private* plane of a dedicated-QP link: one
+    rider, no lease cap, and the rider reaps completions straight off
+    the send CQ in its own completion thread.  Its breakers cool down on
+    the rider's adaptive RTO (:meth:`HealthMonitor.breaker_cooldown`).
+    :class:`SharedDataPlane` is the ``use_srq`` variant shared by every
+    link to one peer.
     """
 
+    #: Largest payload a rider may send eagerly (SEND into the peer's
+    #: shared receive queue); 0 keeps every block on rendezvous WRITE.
+    eager_threshold = 0
+    #: Concurrent sessions the plane admits; None means unbounded.
+    lease_capacity: Optional[int] = None
+    #: Whether another session could lease a slot right now.
+    lease_available = True
+    #: Leases outstanding (the quiescence-leak audit wants 0).
+    leased = 0
+
     def __init__(
-        self,
-        host: "Host",
-        data: DataChannels,
-        send_cq: "CompletionQueue",
-        block_pool: "BlockPool",
-        sessions: "ResourcePool",
-        config: "ProtocolConfig",
+        self, host: "Host", data: DataChannels, send_cq: "CompletionQueue",
+        block_pool: "BlockPool", config: "ProtocolConfig", fault_injector: Any = None,
     ) -> None:
         self.host = host
         self.engine = host.engine
@@ -355,37 +318,118 @@ class HostChannelPool:
         self.send_cq = send_cq
         self.cc = CompletionChannel(send_cq)
         self.block_pool = block_pool
-        self.sessions = sessions
         self.config = config
-        #: One wr_id space for every link riding the shared send CQ.
+        #: Fault hooks for every data QP the plane opens, reopens included.
+        self.fault_injector = fault_injector
+        #: Every data QP ever opened here, in creation order.
+        self.qps: List["QueuePair"] = list(data.qps)
         self.wr_ids = itertools.count()
-        #: wr_id -> owning SourceLink; popped as completions are routed.
-        #: A link that abandons a post before the WR reaches the wire
-        #: (no-live-channel cleanup) pops its own entry.
-        self.routes: Dict[int, object] = {}
-        self._breakers: Dict[int, ChannelBreaker] = {}
-        self._started = False
+        #: qp_num -> circuit breaker, created lazily as channels carry
+        #: traffic; survives detach/adopt so a flapping QP that comes
+        #: back keeps its quarantine history.
+        self.breakers: Dict[int, ChannelBreaker] = {}
+        self._cooldown = lambda: config.breaker_cooldown_min
+        data.breaker_lookup = self.breaker_for
+
+    def attach(self, link) -> None:
+        """Take ``link`` as the plane's one rider: quarantine cooldowns
+        follow its RTT estimator."""
+        self._cooldown = link.health.breaker_cooldown
 
     def breaker_for(self, qp_num: int) -> ChannelBreaker:
-        """Pool-level circuit breakers: quarantine history is shared by
-        every link (cooldown uses the static floor — the pool has no
-        single RTT estimator to adapt with)."""
-        breaker = self._breakers.get(qp_num)
+        breaker = self.breakers.get(qp_num)
         if breaker is None:
             breaker = ChannelBreaker(
-                qp_num,
-                self.config.breaker_failures,
-                lambda: self.config.breaker_cooldown_min,
+                qp_num, self.config.breaker_failures, self._cooldown
             )
-            self._breakers[qp_num] = breaker
+            self.breakers[qp_num] = breaker
         return breaker
 
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self.data.breaker_lookup = self.breaker_for
+    def adopt(self, qp: "QueuePair") -> None:
+        """Add a (re-established) data QP to the plane and its rotation."""
+        self.data.adopt(qp)
+        self.qps.append(qp)
+
+    def new_wr_id(self, link) -> int:
+        """A wr_id for one of ``link``'s posts."""
+        return next(self.wr_ids)
+
+    def withdraw(self, wr_id: int) -> None:
+        """Forget a post that never reached the wire."""
+
+    def reap(self, link, thread: "CpuThread") -> Generator:
+        """Block until completions for ``link`` arrive; returns them."""
+        yield self.cc.wait(thread)
+        wcs = yield self.send_cq.poll(thread, max_entries=64)
+        return wcs
+
+    def lease(self, job) -> None:
+        """Admit ``job``'s session (raises ValueError at capacity)."""
+
+    def release(self, job) -> None:
+        """Return ``job``'s lease; idempotent."""
+
+
+class SharedDataPlane(DataPlane):
+    """The data plane every link to one ``(host, port)`` peer shares.
+
+    In srq mode (``config.use_srq``) the middleware opens the data plane
+    *once per peer host*: ``qp_pool_size`` QPs sharing one send CQ and
+    one registered source block pool, with a
+    :class:`~repro.core.pool.ResourcePool` of session leases.  Links
+    lease a slot instead of opening ``num_channels`` dedicated QPs and a
+    dedicated pool each, so per-host pinned memory and QP count stay
+    constant as session concurrency grows — the point of the SRQ design.
+
+    The plane runs one completion dispatcher on the shared send CQ: each
+    post's wr_id is routed to its link, and the completion lands in that
+    link's inbox.  Breakers are shared too — a flapping QP is quarantined
+    for every rider at once, on the static cooldown floor (no single RTT
+    estimator speaks for all riders).
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.sessions = ResourcePool(self.engine, self.config.pool_sessions)
+        self.lease_capacity = self.sessions.capacity
+        self.eager_threshold = self.config.eager_threshold
+        #: wr_id -> owning SourceLink; popped as completions are routed.
+        self.routes: Dict[int, object] = {}
+        self._inboxes: Dict[object, Store] = {}
         self.engine.process(self._dispatch_thread())
+
+    @property
+    def lease_available(self) -> bool:
+        return self.sessions.available > 0
+
+    @property
+    def leased(self) -> int:
+        return self.sessions.leased
+
+    def attach(self, link) -> None:
+        self._inboxes[link] = Store(self.engine)
+
+    def new_wr_id(self, link) -> int:
+        wr_id = next(self.wr_ids)
+        self.routes[wr_id] = link
+        return wr_id
+
+    def withdraw(self, wr_id: int) -> None:
+        self.routes.pop(wr_id, None)
+
+    def reap(self, link, thread: "CpuThread") -> Generator:
+        wc = yield self._inboxes[link].get()
+        return [wc]
+
+    def lease(self, job) -> None:
+        if not self.sessions.lease(job):
+            raise ValueError(
+                f"session {job.session_id}: shared data plane at lease capacity"
+                f" ({self.sessions.capacity} sessions)"
+            )
+
+    def release(self, job) -> None:
+        self.sessions.release(job)
 
     def _dispatch_thread(self) -> Generator:
         thread = self.host.thread("qp-pool", "app")
@@ -396,4 +440,4 @@ class HostChannelPool:
                 link = self.routes.pop(wc.wr_id, None)
                 if link is None:
                     continue  # owner withdrew the post before it flew
-                yield link._wc_inbox.put(wc)
+                yield self._inboxes[link].put(wc)

@@ -6,6 +6,26 @@ from dataclasses import dataclass
 
 __all__ = ["ProtocolConfig"]
 
+# Fixed protocol constants (no run varies them).
+#: Per-QP send queue depth.
+SEND_QUEUE_DEPTH = 512
+#: Control QP receive ring size.
+CTRL_RECV_DEPTH = 128
+#: RDMA WRITE failures (and BLOCK_NACK repairs) tolerated per block
+#: before the session aborts.
+MAX_BLOCK_RESENDS = 16
+#: Sink-side garbage-collector sweep period, seconds.
+GC_INTERVAL = 0.5
+#: Sink-side restart-marker cadence: one BLOCK_MARKER (cumulative
+#: consumed-prefix ack) per this many consumed blocks.  Markers both
+#: release the source's repair copies and anchor SESSION_RESUME.
+MARKER_INTERVAL_BLOCKS = 4
+#: Heartbeat cadence in RTOs (clamped to the configured band).
+HEARTBEAT_RTO_MULTIPLIER = 8.0
+#: Adaptive breaker cooldown in RTOs (the larger of this and the
+#: configured floor wins).
+BREAKER_RTO_MULTIPLIER = 8.0
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -37,10 +57,6 @@ class ProtocolConfig:
     reader_threads: int = 2
     #: Number of consumer threads at the sink.
     writer_threads: int = 2
-    #: Per-QP send queue depth.
-    send_queue_depth: int = 512
-    #: Control QP receive ring size.
-    ctrl_recv_depth: int = 128
     #: Base timeout for control-plane request/reply exchanges (negotiation,
     #: MR_INFO_REQ when starved, DATASET_DONE_ACK).  Doubled per retry.
     #: Once the RTT estimator has samples it replaces this as the per-
@@ -59,12 +75,8 @@ class ProtocolConfig:
     #: Retries (beyond the first attempt) before a control exchange aborts
     #: the session with a typed error.
     ctrl_retries: int = 5
-    #: RDMA WRITE failures tolerated per block before the session aborts.
-    max_block_resends: int = 16
     #: Sink-side: a session with no traffic for this long is reclaimed.
     session_idle_timeout: float = 5.0
-    #: Sink-side garbage-collector sweep period.
-    gc_interval: float = 0.5
     #: Stamp a per-block checksum into every BlockHeader and verify it at
     #: the sink before delivering the block (end-to-end integrity).
     checksum_blocks: bool = True
@@ -73,10 +85,6 @@ class ProtocolConfig:
     #: False a detected mismatch is counted and the block withheld, so
     #: the session dies with a typed error instead of delivering garbage.
     block_repair: bool = True
-    #: Sink-side restart-marker cadence: one BLOCK_MARKER (cumulative
-    #: consumed-prefix ack) per this many consumed blocks.  Markers both
-    #: release the source's repair copies and anchor SESSION_RESUME.
-    marker_interval_blocks: int = 4
     #: Accept SESSION_RESUME_REQ re-attachments at the sink.
     session_resume: bool = True
     #: Control-channel PING/PONG liveness probes on both engines, so an
@@ -86,8 +94,6 @@ class ProtocolConfig:
     #: Clamp band for the adaptive heartbeat cadence.
     heartbeat_interval_min: float = 0.05
     heartbeat_interval_max: float = 2.0
-    #: Heartbeat cadence in RTOs (clamped to the band above).
-    heartbeat_rto_multiplier: float = 8.0
     #: Consecutive unanswered heartbeat intervals tolerated before the
     #: peer is declared dead (typed PeerDead abort / sink reclaim).
     heartbeat_misses: int = 3
@@ -96,8 +102,6 @@ class ProtocolConfig:
     breaker_failures: int = 3
     #: Floor on the breaker's quarantine cooldown, seconds.
     breaker_cooldown_min: float = 0.1
-    #: Adaptive cooldown in RTOs (the larger of this and the floor wins).
-    breaker_rto_multiplier: float = 8.0
     #: Sink-side idle GC patience in RTOs; the configured
     #: session_idle_timeout stays the floor, so on a long path sessions
     #: are reclaimed later, never sooner.
@@ -115,13 +119,12 @@ class ProtocolConfig:
     #: many short sessions this history previously grew without bound;
     #: the oldest retired session's state is evicted beyond the cap.
     sink_session_history: int = 4096
-    #: Connection-scaling mode: sessions to the same (host, port) lease
-    #: shared data channels from one per-host QP pool whose receive side
-    #: is a shared receive queue, instead of each opening ``num_channels``
-    #: dedicated QPs and a dedicated block pool.  Escape hatch like
-    #: ``use_fluid``: with the default False every code path, metric
-    #: label and event order is bit-identical to the dedicated-QP
-    #: protocol.
+    #: Connection-scaling mode, the one selector of a link's data plane.
+    #: False (default): each link opens a private plane of
+    #: ``num_channels`` dedicated QPs and its own block pool.  True:
+    #: every link to the same (host, port) rides one shared plane of
+    #: ``qp_pool_size`` QPs and one block pool, leasing a session slot,
+    #: and the sink's data QPs draw receives from a shared receive queue.
     use_srq: bool = False
     #: Shared receive-WQE budget per host pool (``use_srq`` only).  Sized
     #: for aggregate arrival rate, not per-connection: this bounds pinned
@@ -164,14 +167,10 @@ class ProtocolConfig:
             raise ValueError("ctrl_backoff must be >= 1")
         if self.ctrl_retries < 0:
             raise ValueError("ctrl_retries must be >= 0")
-        if self.max_block_resends < 1:
-            raise ValueError("max_block_resends must be >= 1")
-        if self.session_idle_timeout <= 0 or self.gc_interval <= 0:
-            raise ValueError("GC timings must be positive")
+        if self.session_idle_timeout <= 0:
+            raise ValueError("session_idle_timeout must be positive")
         if self.block_repair and not self.checksum_blocks:
             raise ValueError("block_repair requires checksum_blocks")
-        if self.marker_interval_blocks < 1:
-            raise ValueError("marker_interval_blocks must be >= 1")
         if self.ctrl_timeout_max < self.ctrl_timeout:
             raise ValueError("ctrl_timeout_max must be >= ctrl_timeout")
         if not 0 < self.ctrl_timeout_min <= self.ctrl_timeout:
@@ -182,16 +181,12 @@ class ProtocolConfig:
             raise ValueError(
                 "heartbeat_interval_max must be >= heartbeat_interval_min"
             )
-        if self.heartbeat_rto_multiplier <= 0:
-            raise ValueError("heartbeat_rto_multiplier must be positive")
         if self.heartbeat_misses < 1:
             raise ValueError("heartbeat_misses must be >= 1")
         if self.breaker_failures < 1:
             raise ValueError("breaker_failures must be >= 1")
         if self.breaker_cooldown_min <= 0:
             raise ValueError("breaker_cooldown_min must be positive")
-        if self.breaker_rto_multiplier <= 0:
-            raise ValueError("breaker_rto_multiplier must be positive")
         if self.idle_rto_multiplier <= 0:
             raise ValueError("idle_rto_multiplier must be positive")
         if self.sink_session_history < 1:

@@ -31,7 +31,11 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.config import ProtocolConfig
+from repro.core.config import (
+    BREAKER_RTO_MULTIPLIER,
+    HEARTBEAT_RTO_MULTIPLIER,
+    ProtocolConfig,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine
@@ -174,7 +178,7 @@ class HealthMonitor:
         """Adaptive PING cadence: a few RTOs, clamped to a sane band."""
         return min(
             max(
-                self.config.heartbeat_rto_multiplier * self.rtt.rto,
+                HEARTBEAT_RTO_MULTIPLIER * self.rtt.rto,
                 self.config.heartbeat_interval_min,
             ),
             self.config.heartbeat_interval_max,
@@ -192,7 +196,7 @@ class HealthMonitor:
         """How long an OPEN channel breaker stays quarantined."""
         return max(
             self.config.breaker_cooldown_min,
-            self.config.breaker_rto_multiplier * self.rtt.rto,
+            BREAKER_RTO_MULTIPLIER * self.rtt.rto,
         )
 
 

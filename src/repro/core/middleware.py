@@ -13,10 +13,15 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
 
-from repro.core.channels import ControlChannel, DataChannels, HostChannelPool
-from repro.core.config import ProtocolConfig
+from repro.core.channels import (
+    ControlChannel,
+    DataChannels,
+    DataPlane,
+    SharedDataPlane,
+)
+from repro.core.config import SEND_QUEUE_DEPTH, ProtocolConfig
 from repro.core.messages import HEADER_BYTES
-from repro.core.pool import BlockPool, ResourcePool
+from repro.core.pool import BlockPool
 from repro.core.sink_engine import SinkEngine
 from repro.core.source_link import SourceLink, TransferJob
 from repro.sim.events import Event
@@ -27,6 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.host import Host
     from repro.sim.engine import Engine
     from repro.verbs.cm import ConnectionManager
+    from repro.verbs.cq import CompletionQueue
     from repro.verbs.device import Device
     from repro.verbs.srq import SharedReceiveQueue
 
@@ -109,8 +115,8 @@ def _outcome(
         ctrl_sent=link.ctrl.sent.count,
         ctrl_received=int(link.ctrl.received.total),
         peak_credits=int(link.ledger.peak_balance.value),
-        rnr_naks=sum(qp.rnr_naks.count for qp in link._data_qps)
-        + link._ctrl_qp.rnr_naks.count,
+        rnr_naks=sum(qp.rnr_naks.count for qp in link.plane.qps)
+        + link.ctrl.qp.rnr_naks.count,
         ctrl_retries=job.ctrl_retries,
         repairs=job.repairs,
         resumed_from=resumed_from,
@@ -137,11 +143,11 @@ class RdmaMiddleware:
         self.engine: "Engine" = host.engine
         self.pd = device.alloc_pd()
         self.sink_engines: Dict[int, SinkEngine] = {}  # by client id
-        #: srq mode, client side: one shared data-plane per (peer, port).
-        #: Values are either a live :class:`HostChannelPool` or a
+        #: srq mode, client side: one shared data plane per (peer, port).
+        #: Values are either a live :class:`SharedDataPlane` or a
         #: ``("pending", Event)`` sentinel while the first opener is
         #: still connecting its QPs (racers wait on the event).
-        self._host_pools: Dict[Any, Any] = {}
+        self.shared_planes: Dict[Any, Any] = {}
         #: srq mode, server side: the shared receive queue and its
         #: dispatcher state, created on the first :meth:`serve`.
         self._srq: Optional["SharedReceiveQueue"] = None
@@ -182,10 +188,10 @@ class RdmaMiddleware:
                         self.pd,
                         self.device.create_cq(),
                         self.device.create_cq(),
-                        max_send_wr=self.config.send_queue_depth,
+                        max_send_wr=SEND_QUEUE_DEPTH,
                     )
                     request.accept(ctrl_qp)
-                    ctrl = ControlChannel(ctrl_qp, self.config.ctrl_recv_depth)
+                    ctrl = ControlChannel(ctrl_qp)
                     engine = SinkEngine(
                         self.host,
                         ctrl,
@@ -207,7 +213,7 @@ class RdmaMiddleware:
                         self.pd,
                         self.device.create_cq(),
                         recv_cq,
-                        max_send_wr=self.config.send_queue_depth,
+                        max_send_wr=SEND_QUEUE_DEPTH,
                         srq=self._srq,
                     )
                     request.accept(data_qp)
@@ -261,58 +267,79 @@ class RdmaMiddleware:
                 self._srq.post_recv(RecvWR(length=wqe_len, wr_id=wc.wr_id))
 
     # -- client role -----------------------------------------------------------------
-    def _get_host_pool(
-        self,
-        remote: "Device",
-        port: int,
-        cfg: ProtocolConfig,
-        client_id: int,
-        fault_injector: Any,
+    def _connect_data_qp(
+        self, send_cq: "CompletionQueue", recv_cq: Optional["CompletionQueue"],
+        remote: "Device", port: int, tag: Any, fault_injector: Any,
     ) -> Generator:
-        """The shared :class:`HostChannelPool` for ``(remote, port)``,
-        creating it on first use (srq mode only).
+        """Create one data QP on ``send_cq`` and ``recv_cq`` (None: a
+        fresh receive CQ), connect it to ``(remote, port)`` under the
+        private data ``tag``, and install the fault hooks."""
+        # An empty CQ is falsy (len 0): test against None.
+        if recv_cq is None:
+            recv_cq = self.device.create_cq()
+        qp = self.device.create_qp(
+            self.pd, send_cq, recv_cq, max_send_wr=SEND_QUEUE_DEPTH
+        )
+        yield self.cm.connect(qp, remote, port, tag)
+        # A FaultInjector exposes its data-plane hook; plain callables
+        # (the original testing interface) pass through.
+        qp.fault_injector = getattr(fault_injector, "data_qp_hook", fault_injector)
+        qp.corrupt_injector = getattr(fault_injector, "data_corrupt_hook", None)
+        return qp
 
-        Concurrent first openers race here; a pending sentinel is stored
-        synchronously (before the first yield) so exactly one of them
-        connects the pool QPs while the rest wait on its event.  Fault
-        injectors are installed on the pool QPs at creation only — the
-        first opener's hooks cover every rider, matching the shared
-        fate of shared channels.
-        """
-        key = (remote, port)
-        entry = self._host_pools.get(key)
-        if isinstance(entry, HostChannelPool):
-            return entry
-        if entry is not None:  # ("pending", event): creation in flight
-            yield entry[1]
-            return self._host_pools[key]
-        pending = Event(self.engine)
-        self._host_pools[key] = ("pending", pending)
+    def _open_plane(
+        self, remote: "Device", port: int, cfg: ProtocolConfig,
+        client_id: int, fault_injector: Any,
+    ) -> Generator:
+        """Connect a data plane to ``(remote, port)``: a private one of
+        ``num_channels`` QPs sharing one receive CQ, or (``use_srq``) a
+        shared one of ``qp_pool_size`` QPs with a receive CQ each."""
         send_cq = self.device.create_cq()
+        recv_cq = None if cfg.use_srq else self.device.create_cq()
         qps = []
-        for i in range(cfg.qp_pool_size):
-            qp = self.device.create_qp(
-                self.pd,
-                send_cq,
-                self.device.create_cq(),
-                max_send_wr=cfg.send_queue_depth,
+        for i in range(cfg.qp_pool_size if cfg.use_srq else cfg.num_channels):
+            qp = yield from self._connect_data_qp(
+                send_cq, recv_cq, remote, port, ("data", client_id, i),
+                fault_injector,
             )
-            yield self.cm.connect(qp, remote, port, ("data", client_id, i))
-            qp.fault_injector = getattr(
-                fault_injector, "data_qp_hook", fault_injector
-            )
-            qp.corrupt_injector = getattr(fault_injector, "data_corrupt_hook", None)
             qps.append(qp)
         data = DataChannels(qps)
         pool = BlockPool.build_source(
             self.host, self.pd, cfg.source_blocks, cfg.block_size
         )
-        sessions = ResourcePool(self.engine, cfg.pool_sessions)
-        hpool = HostChannelPool(self.host, data, send_cq, pool, sessions, cfg)
-        hpool.start()
-        self._host_pools[key] = hpool
-        pending.succeed(hpool)
-        return hpool
+        kind = SharedDataPlane if cfg.use_srq else DataPlane
+        return kind(self.host, data, send_cq, pool, cfg, fault_injector)
+
+    def _plane_for(
+        self, remote: "Device", port: int, cfg: ProtocolConfig,
+        client_id: int, fault_injector: Any,
+    ) -> Generator:
+        """The data plane a new link to ``(remote, port)`` rides.
+
+        Dedicated mode opens a private plane per link.  In srq mode every
+        link to the peer shares one :class:`SharedDataPlane`, created by
+        the first opener.  Concurrent first openers race here; a pending
+        sentinel is stored synchronously (before the first yield) so
+        exactly one of them connects the QPs while the rest wait on its
+        event.  The first opener's fault hooks cover every rider,
+        matching the shared fate of shared channels.
+        """
+        args = (remote, port, cfg, client_id, fault_injector)
+        if not cfg.use_srq:
+            return (yield from self._open_plane(*args))
+        key = (remote, port)
+        entry = self.shared_planes.get(key)
+        if isinstance(entry, SharedDataPlane):
+            return entry
+        if entry is not None:  # ("pending", event): creation in flight
+            yield entry[1]
+            return self.shared_planes[key]
+        pending = Event(self.engine)
+        self.shared_planes[key] = ("pending", pending)
+        plane = yield from self._open_plane(*args)
+        self.shared_planes[key] = plane
+        pending.succeed(plane)
+        return plane
 
     def open_link(
         self,
@@ -324,11 +351,10 @@ class RdmaMiddleware:
     ):
         """Process event resolving to a :class:`SourceLink`.
 
-        Establishes the connection set of §IV: one control QP plus
-        ``num_channels`` data QPs sharing a send CQ, and the registered
-        source block pool.  Any number of concurrent or sequential
-        sessions can then run over the link via
-        :meth:`SourceLink.transfer`.
+        Establishes the connection set of §IV: one control QP plus the
+        data plane (data QPs sharing a send CQ, and the registered source
+        block pool).  Any number of concurrent or sequential sessions can
+        then run over the link via :meth:`SourceLink.transfer`.
 
         ``tcp_factory`` (optional): zero-arg callable returning a
         connected :class:`~repro.tcp.connection.TcpConnection` through
@@ -344,69 +370,25 @@ class RdmaMiddleware:
                 self.pd,
                 self.device.create_cq(),
                 self.device.create_cq(),
-                max_send_wr=cfg.send_queue_depth,
+                max_send_wr=SEND_QUEUE_DEPTH,
             )
             yield self.cm.connect(ctrl_qp, remote, port, ("ctrl", client_id))
-            ctrl = ControlChannel(ctrl_qp, cfg.ctrl_recv_depth)
+            ctrl = ControlChannel(ctrl_qp)
             ctrl_hook = getattr(fault_injector, "ctrl_hook", None)
             if ctrl_hook is not None:
                 ctrl.fault_hook = ctrl_hook
-            if cfg.use_srq:
-                # Shared data-plane: lease channels from the per-host QP
-                # pool instead of opening num_channels dedicated QPs and
-                # a dedicated block pool for this link.
-                hpool = yield from self._get_host_pool(
-                    remote, port, cfg, client_id, fault_injector
-                )
-                link = SourceLink(
-                    self.host,
-                    ctrl,
-                    hpool.data,
-                    hpool.send_cq,
-                    hpool.block_pool,
-                    cfg,
-                    host_pool=hpool,
-                )
-                link._ctrl_qp = ctrl_qp  # for RNR stats in outcomes
-                # A *copy*: reopen_channel appends to both link.data.qps
-                # and _data_qps; aliasing would double-register the QP.
-                link._data_qps = list(hpool.data.qps)
-                link._client_id = client_id
-                link._fault_injector = fault_injector
-                link.tcp_factory = tcp_factory
-                link._reopen = lambda: self.reopen_channel(link, remote, port, cfg)
-                return link
-            data_send_cq = self.device.create_cq()
-            data_recv_cq = self.device.create_cq()
-            data_qps = []
-            for i in range(cfg.num_channels):
-                qp = self.device.create_qp(
-                    self.pd,
-                    data_send_cq,
-                    data_recv_cq,
-                    max_send_wr=cfg.send_queue_depth,
-                )
-                yield self.cm.connect(qp, remote, port, ("data", client_id, i))
-                # A FaultInjector exposes its data-plane hook; plain
-                # callables (the original testing interface) pass through.
-                qp.fault_injector = getattr(
-                    fault_injector, "data_qp_hook", fault_injector
-                )
-                qp.corrupt_injector = getattr(
-                    fault_injector, "data_corrupt_hook", None
-                )
-                data_qps.append(qp)
-            data = DataChannels(data_qps)
-            pool = BlockPool.build_source(
-                self.host, self.pd, cfg.source_blocks, cfg.block_size
+            plane = yield from self._plane_for(
+                remote, port, cfg, client_id, fault_injector
             )
-            link = SourceLink(self.host, ctrl, data, data_send_cq, pool, cfg)
-            link._ctrl_qp = ctrl_qp  # for RNR stats in outcomes
-            link._data_qps = data_qps
-            link._client_id = client_id  # for reopen_channel
-            link._fault_injector = fault_injector
-            link.tcp_factory = tcp_factory
-            link._reopen = lambda: self.reopen_channel(link, remote, port, cfg)
+            link = SourceLink(
+                self.host,
+                ctrl,
+                plane,
+                cfg,
+                client_id=client_id,
+                tcp_factory=tcp_factory,
+                reopen=lambda: self.reopen_channel(link, remote, port),
+            )
             return link
 
         return self.engine.process(_open())
@@ -445,11 +427,9 @@ class RdmaMiddleware:
             session_id = next(_session_ids)
 
         def _run() -> Generator:
-            the_link = link
-            if the_link is None:
-                the_link = yield self.open_link(
-                    remote, port, config, fault_injector, tcp_factory
-                )
+            the_link = link or (
+                yield self.open_link(remote, port, config, fault_injector, tcp_factory)
+            )
             mr_before = the_link.mr_requests_sent.count
             job = yield the_link.transfer(
                 data_source,
@@ -487,11 +467,9 @@ class RdmaMiddleware:
         """
 
         def _run() -> Generator:
-            the_link = link
-            if the_link is None:
-                the_link = yield self.open_link(
-                    remote, port, config, fault_injector, tcp_factory
-                )
+            the_link = link or (
+                yield self.open_link(remote, port, config, fault_injector, tcp_factory)
+            )
             mr_before = the_link.mr_requests_sent.count
             job = yield the_link.resume(data_source, total_bytes, session_id)
             return _outcome(
@@ -505,37 +483,23 @@ class RdmaMiddleware:
 
         return self.engine.process(_run())
 
-    def reopen_channel(
-        self,
-        link: SourceLink,
-        remote: "Device",
-        port: int,
-        config: Optional[ProtocolConfig] = None,
-    ):
+    def reopen_channel(self, link: SourceLink, remote: "Device", port: int):
         """Process event re-establishing one data channel on ``link``.
 
         After a failover shrank the rotation, this restores parallelism:
-        a fresh data QP is connected, inherits the link's fault hooks,
-        and joins the send rotation.  Resolves to the new QueuePair.
+        a fresh data QP is connected on the link's plane, inherits the
+        plane's fault hooks, and joins the send rotation.  Resolves to
+        the new QueuePair.
         """
-        cfg = config or self.config
+        plane = link.plane
 
         def _reopen() -> Generator:
-            qp = self.device.create_qp(
-                self.pd,
-                link.data_send_cq,
-                self.device.create_cq(),
-                max_send_wr=cfg.send_queue_depth,
+            qp = yield from self._connect_data_qp(
+                plane.send_cq, None, remote, port,
+                ("data", link._client_id, len(plane.qps)),
+                plane.fault_injector,
             )
-            yield self.cm.connect(
-                qp, remote, port, ("data", link._client_id, len(link._all_data_qps))
-            )
-            injector = getattr(link, "_fault_injector", None)
-            qp.fault_injector = getattr(injector, "data_qp_hook", injector)
-            qp.corrupt_injector = getattr(injector, "data_corrupt_hook", None)
-            link.data.adopt(qp)
-            link._all_data_qps.append(qp)
-            link._data_qps.append(qp)
+            plane.adopt(qp)
             return qp
 
         return self.engine.process(_reopen())

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
 
 from repro.core.blocks import SinkBlock, SinkBlockState
 from repro.core.channels import ControlChannel
-from repro.core.config import ProtocolConfig
+from repro.core.config import GC_INTERVAL, MARKER_INTERVAL_BLOCKS, ProtocolConfig
 from repro.core.credits import Credit, CreditGranter
 from repro.core.errors import EndpointCrashed, PeerDead, StaleSessionReclaimed
 from repro.core.health import HealthMonitor
@@ -923,9 +923,7 @@ class SinkEngine:
         if session_id not in self._expected_bytes:
             return
         delivered = self.reassembly.next_seq(session_id)
-        interval = self._marker_interval.get(
-            session_id, self.config.marker_interval_blocks
-        )
+        interval = self._marker_interval.get(session_id, MARKER_INTERVAL_BLOCKS)
         if delivered - self._marker_sent.get(session_id, 0) < interval:
             return
         self._marker_sent[session_id] = delivered
@@ -1010,7 +1008,7 @@ class SinkEngine:
         on long paths."""
         thread = self.host.thread("snk-gc", "app")
         while self._expected_bytes:
-            yield self.engine.timeout(self.config.gc_interval)
+            yield self.engine.timeout(GC_INTERVAL)
             now = self.engine.now
             if self.config.heartbeats and self._expected_bytes:
                 interval = self.health.heartbeat_interval()

@@ -3,18 +3,20 @@
 §IV-C: "The application probably issues multiple data transfer tasks
 simultaneously.  Each task is associated with a global session identifier
 which is available in both the source and sink."  A :class:`SourceLink`
-owns the shared per-connection state — the control channel, the parallel
-data QPs, the registered block pool, and the credit ledger — and runs any
-number of concurrent or sequential :meth:`transfer` jobs over it.  The
-sink routes by session id and reassembles each session independently.
+owns the shared per-connection state — the control channel, the credit
+ledger, and the data plane it rides (the parallel data QPs and the
+registered block pool) — and runs any number of concurrent or sequential
+:meth:`transfer` jobs over it.  The sink routes by session id and
+reassembles each session independently.
 
 Shared threads (Figure 2's pool):
 
 - one *control thread* routes inbound messages: credit grants feed the
   shared ledger, negotiation replies and DATASET_DONE_ACKs go to their
   session's job;
-- one *completion thread* reaps WRITE completions off the shared send CQ
-  and routes them to the owning job by work-request id.
+- one *completion thread* takes WRITE completions from the link's
+  :class:`~repro.core.channels.DataPlane` and routes them to the owning
+  job by work-request id.
 
 Per-job threads: readers (load payload into blocks) and a sender (pair
 LOADED blocks with credits, post RDMA WRITEs).
@@ -22,7 +24,7 @@ LOADED blocks with credits, post RDMA WRITEs).
 Recovery model: every control-plane exchange (negotiation requests,
 MR_INFO_REQ when starved, the DATASET_DONE/ACK handshake) carries a
 timeout with exponential backoff and a bounded retry budget; each block's
-RDMA WRITE may fail at most ``max_block_resends`` times.  Exhausting any
+RDMA WRITE may fail at most ``MAX_BLOCK_RESENDS`` times.  Exhausting any
 budget aborts the session *gracefully*: pool blocks return to the free
 list, unconsumed credits are refunded to the shared ledger, and the job's
 ``done`` event fails with a typed :class:`~repro.core.errors.TransferError`
@@ -31,12 +33,11 @@ instead of hanging the engine.
 
 from __future__ import annotations
 
-import itertools
-from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Optional, Tuple
 
 from repro.core.blocks import SourceBlock
-from repro.core.channels import ControlChannel, DataChannels, NoLiveChannelError
-from repro.core.config import ProtocolConfig
+from repro.core.channels import ControlChannel, DataPlane, NoLiveChannelError
+from repro.core.config import MARKER_INTERVAL_BLOCKS, MAX_BLOCK_RESENDS, ProtocolConfig
 from repro.core.credits import Credit, CreditLedger
 from repro.core.errors import (
     AckTimeout,
@@ -50,17 +51,15 @@ from repro.core.errors import (
     TransferError,
     TransportFallbackFailed,
 )
-from repro.core.health import ChannelBreaker, HealthMonitor
+from repro.core.health import HealthMonitor
 from repro.core.messages import (
     BlockHeader,
     ControlMessage,
     CtrlType,
     block_checksum,
 )
-from repro.core.pool import BlockPool
 from repro.sim.events import AnyOf, Event
 from repro.sim.resources import Store
-from repro.verbs.cq import CompletionChannel, CompletionQueue
 from repro.verbs.qp import QpState
 from repro.verbs.wr import WcStatus
 
@@ -135,7 +134,7 @@ class TransferJob:
         self.unacked: Dict[int, SourceBlock] = {}
         #: Highest cumulative restart marker received from the sink.
         self.marker = 0
-        #: seq -> BLOCK_NACK repair attempts (bounded by max_block_resends).
+        #: seq -> BLOCK_NACK repair attempts (bounded by MAX_BLOCK_RESENDS).
         self.nack_attempts: Dict[int, int] = {}
         #: Per-block source-side latency: post of the RDMA WRITE to the
         #: polled completion (includes the RC ACK round trip), seconds.
@@ -223,45 +222,39 @@ class SourceLink:
         self,
         host: "Host",
         ctrl: ControlChannel,
-        data: DataChannels,
-        data_send_cq: CompletionQueue,
-        pool: BlockPool[SourceBlock],
+        plane: DataPlane,
         config: ProtocolConfig,
-        host_pool=None,
+        client_id: Optional[int] = None,
+        tcp_factory: Optional[Callable[[], Any]] = None,
+        reopen: Optional[Callable[[], Any]] = None,
     ) -> None:
         self.host = host
         self.engine: "Engine" = host.engine
         self.ctrl = ctrl
-        self.data = data
-        self.data_send_cq = data_send_cq
-        #: Shared :class:`~repro.core.channels.HostChannelPool` this link
-        #: rides (srq mode), or ``None`` for the dedicated-QP protocol.
-        #: A pooled link does not own the send CQ: the pool's dispatcher
-        #: holds the only completion channel and routes completions into
-        #: ``_wc_inbox`` by wr_id.
-        self._host_pool = host_pool
-        if host_pool is None:
-            self.data_cc = CompletionChannel(data_send_cq)
-            self._wc_inbox = None
-        else:
-            self.data_cc = None
-            self._wc_inbox = Store(self.engine)
-        self.pool = pool
+        #: The data plane this link rides (private, or shared with every
+        #: link to the same peer); ``data`` and ``pool`` are its rotation
+        #: and block pool.
+        self.plane = plane
+        self.data = plane.data
+        self.pool = plane.block_pool
         self.config = config
+        #: Middleware client id the connections were opened under.
+        self._client_id = client_id
         self.ledger = CreditLedger(self.engine)
         #: Adaptive RTT estimation and peer liveness — one per link; the
         #: control path is shared by every session riding it.
         self.health = HealthMonitor(self.engine, config)
+        plane.attach(self)
         #: Optional zero-arg factory returning a connected
         #: :class:`~repro.tcp.connection.TcpConnection` through the same
         #: fabric, wired by the middleware when the testbed has a TCP
         #: path.  Without it the link cannot degrade, and total channel
         #: loss stays a :class:`DataChannelsLost` abort.
-        self.tcp_factory = None
+        self.tcp_factory = tcp_factory
         #: Optional zero-arg channel re-establishment hook (the
         #: middleware's reopen_channel bound to this link), used by the
         #: re-promotion watchdog to bring RDMA back during fallback.
-        self._reopen = None
+        self._reopen = reopen
         self.jobs: Dict[int, TransferJob] = {}
         reg = self.engine.metrics
         self._m_idx = reg.sequence("source_link")
@@ -281,16 +274,7 @@ class SourceLink:
         reg.gauge_fn("source.active_jobs", lambda: self._active_jobs, **labels)
         reg.gauge_fn("source.inflight_wrs", lambda: len(self._inflight), **labels)
         reg.gauge_fn("source.rto_seconds", lambda: self.health.rtt.rto, **labels)
-        #: qp_num -> circuit breaker, created lazily as channels carry
-        #: traffic; survives detach/adopt so a flapping QP that comes
-        #: back keeps its quarantine history.
-        self._breakers: Dict[int, ChannelBreaker] = {}
-        if host_pool is None:
-            data.breaker_lookup = self._breaker_for
         self._hb_running = False
-        #: Pooled links draw wr_ids from the pool-wide space (the shared
-        #: send CQ needs collision-free routing across links).
-        self._wr_ids = itertools.count() if host_pool is None else host_pool.wr_ids
         #: wr_id -> (job, block, credit, failed_attempts, is_repair).
         self._inflight: Dict[
             int, Tuple[TransferJob, SourceBlock, Credit, int, bool]
@@ -304,9 +288,6 @@ class SourceLink:
         #: three control round trips for one — the difference between one
         #: RTT and three per file on a WAN small-file run.
         self._negotiated = False
-        #: Data QPs in creation order, for fault injection by index — the
-        #: live rotation in ``self.data`` shrinks as channels die.
-        self._all_data_qps = list(data.qps)
 
     @property
     def session_load(self) -> int:
@@ -319,37 +300,6 @@ class SourceLink:
         """
         return len(self.jobs)
 
-    def _breaker_for(self, qp_num: int) -> ChannelBreaker:
-        if self._host_pool is not None:
-            # Shared QPs carry every rider's traffic, so quarantine
-            # history lives at the pool, not per link.
-            return self._host_pool.breaker_for(qp_num)
-        breaker = self._breakers.get(qp_num)
-        if breaker is None:
-            breaker = ChannelBreaker(
-                qp_num, self.config.breaker_failures, self.health.breaker_cooldown
-            )
-            self._breakers[qp_num] = breaker
-        return breaker
-
-    def _new_wr_id(self) -> int:
-        """Allocate a wr_id, registering the completion route when the
-        send CQ is shared (pooled links)."""
-        wr_id = next(self._wr_ids)
-        if self._host_pool is not None:
-            self._host_pool.routes[wr_id] = self
-        return wr_id
-
-    def _release_lease(self, job: TransferJob) -> None:
-        """Return the session's channel lease to the host pool.
-
-        Idempotent, and the single choke point for every way a session
-        ends — normal completion, abort (cancel, deadline, watchdog,
-        crash) — so leases cannot leak through any teardown path.
-        """
-        if self._host_pool is not None:
-            self._host_pool.sessions.release(job)
-
     def _start_shared_threads(self) -> None:
         if not self._started:
             self._started = True
@@ -358,6 +308,35 @@ class SourceLink:
         if self.config.heartbeats and not self._hb_running:
             self._hb_running = True
             self.engine.process(self._heartbeat_thread())
+
+    def _admit(self, data_source: Any, total_bytes: int, session_id: int) -> TransferJob:
+        """Register a new session on the link (raises ValueError when the
+        id is already live or the plane is at lease capacity)."""
+        job = TransferJob(self, session_id, total_bytes, data_source)
+        if session_id in self.jobs:
+            raise ValueError(f"session {session_id} already active on this link")
+        self.plane.lease(job)
+        self.jobs[session_id] = job
+        self._active_jobs += 1
+        self._start_shared_threads()
+        return job
+
+    def _start_rdma_threads(self, job: TransferJob, watchdog: bool = True) -> None:
+        """Spawn the session's readers and sender (plus, with block
+        repair, its marker watchdog)."""
+        for i in range(self.config.reader_threads):
+            self.engine.process(self._reader_thread(job, i))
+        self.engine.process(self._sender_thread(job))
+        if watchdog and self.config.block_repair:
+            self.engine.process(self._marker_watchdog(job))
+
+    def _send_dataset_done(self, thread, job: TransferJob) -> Generator:
+        """Every block is out: open the DATASET_DONE/ACK handshake."""
+        yield from self.ctrl.send(
+            thread,
+            ControlMessage(CtrlType.DATASET_DONE, job.session_id, job.total_bytes),
+        )
+        self.engine.process(self._ack_watchdog(job))
 
     # -- public API --------------------------------------------------------------
     def transfer(
@@ -378,29 +357,17 @@ class SourceLink:
         exchanges and opens the session with a single SESSION_REQ round
         trip — the fast path for many small files to one peer.
         """
-        job = TransferJob(self, session_id, total_bytes, data_source)
-        if session_id in self.jobs:
-            raise ValueError(f"session {session_id} already active on this link")
-        if self._host_pool is not None:
-            if not self._host_pool.sessions.lease(job):
-                raise ValueError(
-                    f"session {session_id}: host pool at lease capacity"
-                    f" ({self._host_pool.sessions.capacity} sessions)"
-                )
-            # Eager iff every payload this session sends fits under the
-            # negotiated threshold — a sub-threshold dataset, or one whose
-            # negotiated block size is already that small.  The decision
-            # is per *session* so the sink's credit machinery is either
-            # fully engaged or fully bypassed; mixing per-block would let
-            # eager arrivals starve while credits pin every free block.
-            cfg = self.config
-            job.eager = (
-                cfg.eager_threshold > 0
-                and min(cfg.block_size, total_bytes) <= cfg.eager_threshold
-            )
-        self.jobs[session_id] = job
-        self._active_jobs += 1
-        self._start_shared_threads()
+        job = self._admit(data_source, total_bytes, session_id)
+        # Eager iff every payload this session sends fits under the
+        # plane's threshold — a sub-threshold dataset, or one whose
+        # negotiated block size is already that small.  The decision is
+        # per *session* so the sink's credit machinery is either fully
+        # engaged or fully bypassed; mixing per-block would let eager
+        # arrivals starve while credits pin every free block.
+        threshold = self.plane.eager_threshold
+        job.eager = (
+            threshold > 0 and min(self.config.block_size, total_bytes) <= threshold
+        )
         skip_link_setup = reuse_negotiation and self._negotiated
 
         def _run() -> Generator:
@@ -408,11 +375,7 @@ class SourceLink:
             yield from self._negotiate(thread, job, skip_link_setup=skip_link_setup)
             if not job.aborted:
                 job.started_at = self.engine.now
-                for i in range(self.config.reader_threads):
-                    self.engine.process(self._reader_thread(job, i))
-                self.engine.process(self._sender_thread(job))
-                if self.config.block_repair:
-                    self.engine.process(self._marker_watchdog(job))
+                self._start_rdma_threads(job)
             finished: TransferJob = yield job.done
             return finished
 
@@ -434,20 +397,10 @@ class SourceLink:
         grants from the dead incarnation target regions the sink has
         revoked), which would strand a healthy neighbour's credits.
         """
-        job = TransferJob(self, session_id, total_bytes, data_source)
-        if session_id in self.jobs:
-            raise ValueError(f"session {session_id} already active on this link")
-        if self._host_pool is not None and not self._host_pool.sessions.lease(job):
-            raise ValueError(
-                f"session {session_id}: host pool at lease capacity"
-                f" ({self._host_pool.sessions.capacity} sessions)"
-            )
         # A resumed session always rides rendezvous: the sink re-anchors
         # it with a fresh credit grant, and the restart marker already
         # paid the MR-exchange cost eager exists to avoid.
-        self.jobs[session_id] = job
-        self._active_jobs += 1
-        self._start_shared_threads()
+        job = self._admit(data_source, total_bytes, session_id)
 
         def _run() -> Generator:
             thread = self.host.thread(f"src-resume-{session_id}", "app")
@@ -477,19 +430,9 @@ class SourceLink:
                         # Everything already landed (the sink holds the
                         # whole dataset, acked or not): go straight to the
                         # completion handshake.
-                        yield from self.ctrl.send(
-                            thread,
-                            ControlMessage(
-                                CtrlType.DATASET_DONE, session_id, job.total_bytes
-                            ),
-                        )
-                        self.engine.process(self._ack_watchdog(job))
+                        yield from self._send_dataset_done(thread, job)
                     else:
-                        for i in range(self.config.reader_threads):
-                            self.engine.process(self._reader_thread(job, i))
-                        self.engine.process(self._sender_thread(job))
-                        if self.config.block_repair:
-                            self.engine.process(self._marker_watchdog(job))
+                        self._start_rdma_threads(job)
             finished: TransferJob = yield job.done
             return finished
 
@@ -527,9 +470,9 @@ class SourceLink:
         thread detaches the dead channel and redistributes the blocks
         across survivors.  Returns False for an unknown or already-dead
         channel."""
-        if not 0 <= index < len(self._all_data_qps):
+        if not 0 <= index < len(self.plane.qps):
             return False
-        qp = self._all_data_qps[index]
+        qp = self.plane.qps[index]
         if qp.state is QpState.ERROR:
             return False
         qp.kill()
@@ -551,21 +494,8 @@ class SourceLink:
         job.error = exc
         self.jobs.pop(job.session_id, None)
         self._active_jobs -= 1
-        self._release_lease(job)
-        while job._loaded.items:
-            blk = job._loaded.items.popleft()
-            if blk is None:
-                continue  # sender-release sentinel
-            blk.scrap()
-            self.pool.put_free_blk(blk)
-        # Repair copies held WAITING for markers that will never come.
-        # Seqs whose repair re-send is in flight are not in the map — the
-        # completion thread recycles those.
-        while job.unacked:
-            _seq, blk = job.unacked.popitem()
-            blk.scrap()
-            self.pool.put_free_blk(blk)
-        job.nack_attempts.clear()
+        self.plane.release(job)
+        self._scrap_held_blocks(job)
         self.engine.trace(
             "link", "abort", session=job.session_id, error=type(exc).__name__
         )
@@ -581,6 +511,23 @@ class SourceLink:
         # abandoned session still fails loudly through the transfer's
         # outer process event.
         job.done.defuse()
+
+    def _scrap_held_blocks(self, job: TransferJob) -> None:
+        """Return the blocks ``job`` parks outside any thread — its
+        loaded queue and its repair copies — to the free pool.  Seqs
+        whose repair re-send is in flight are not in ``unacked``; the
+        completion thread recycles those."""
+        while job._loaded.items:
+            blk = job._loaded.items.popleft()
+            if blk is None:
+                continue  # sender-release sentinel
+            blk.scrap()
+            self.pool.put_free_blk(blk)
+        while job.unacked:
+            _seq, blk = job.unacked.popitem()
+            blk.scrap()
+            self.pool.put_free_blk(blk)
+        job.nack_attempts.clear()
 
     def _recycle(self, block: SourceBlock, credit: Optional[Credit] = None) -> None:
         """Return an abandoned block (and optionally its credit) to the
@@ -667,7 +614,7 @@ class SourceLink:
         the sink honours it per session; tiny pools degrade to per-block
         markers rather than deadlock.
         """
-        return max(1, min(self.config.marker_interval_blocks, len(self.pool.blocks) // 8))
+        return max(1, min(MARKER_INTERVAL_BLOCKS, len(self.pool.blocks) // 8))
 
     # -- negotiation (phase 1 of §IV-C) ---------------------------------------------
     def _negotiate(
@@ -844,7 +791,7 @@ class SourceLink:
                 return
             assert block.header is not None
             block.sending()
-            wr_id = self._new_wr_id()
+            wr_id = self.plane.new_wr_id(self)
             self._inflight[wr_id] = (job, block, credit, 0, False)
             job._post_times[wr_id] = self.engine.now
             ok = yield from self._post_block(thread, job, block, credit, wr_id)
@@ -859,18 +806,10 @@ class SourceLink:
         been reclaimed)."""
         assert block.header is not None
         try:
-            if credit is None:  # eager transport (srq mode)
-                yield from self.data.post_send_block(
-                    thread, block, block.header, wr_id
-                )
-            else:
-                yield from self.data.post_write(
-                    thread, block, credit, block.header, wr_id=wr_id
-                )
+            yield from self.data.post_block(thread, block, credit, wr_id)
         except NoLiveChannelError:
             self._inflight.pop(wr_id, None)
-            if self._host_pool is not None:
-                self._host_pool.routes.pop(wr_id, None)
+            self.plane.withdraw(wr_id)
             job._post_times.pop(wr_id, None)
             if job.fallback_active or self._begin_fallback(job):
                 # Degrading to TCP: the sink revokes every RDMA region
@@ -889,14 +828,9 @@ class SourceLink:
     # -- shared threads -------------------------------------------------------------
     def _completion_thread(self) -> Generator:
         thread = self.host.thread("src-completion", "app")
+        plane = self.plane
         while True:
-            if self._wc_inbox is not None:
-                # Pooled link: the host pool's dispatcher owns the shared
-                # CQ and routes this link's completions here by wr_id.
-                wcs = [(yield self._wc_inbox.get())]
-            else:
-                yield self.data_cc.wait(thread)
-                wcs = yield self.data_send_cq.poll(thread, max_entries=64)
+            wcs = yield from plane.reap(self, thread)
             for wc in wcs:
                 job, block, credit, attempts, is_repair = self._inflight.pop(wc.wr_id)
                 posted_at = job._post_times.pop(wc.wr_id, None)
@@ -905,7 +839,7 @@ class SourceLink:
                     # rotation shrinks to the survivors (idempotent — the
                     # first flushed WR wins, later ones find it gone).
                     self.data.detach(wc.qp_num)
-                breaker = self._breaker_for(wc.qp_num)
+                breaker = plane.breaker_for(wc.qp_num)
                 if wc.ok:
                     breaker.record_success()
                 elif breaker.record_failure(self.engine.now):
@@ -965,15 +899,7 @@ class SourceLink:
                     job._count_completed()
                     if job.completed_blocks == job.blocks_to_send:
                         yield job._loaded.put(None)  # release the sender
-                        yield from self.ctrl.send(
-                            thread,
-                            ControlMessage(
-                                CtrlType.DATASET_DONE,
-                                job.session_id,
-                                job.total_bytes,
-                            ),
-                        )
-                        self.engine.process(self._ack_watchdog(job))
+                        yield from self._send_dataset_done(thread, job)
                 else:
                     # Failed WRITE (Fig. 6: WAITING → LOADED re-send).
                     # The payload never landed, so the credit's region is
@@ -985,7 +911,7 @@ class SourceLink:
                     # deadlock).  After a channel death the re-post lands
                     # on a surviving QP (least-loaded pick skips ERROR).
                     attempts += 1
-                    if attempts > self.config.max_block_resends:
+                    if attempts > MAX_BLOCK_RESENDS:
                         seq = block.header.seq if block.header else -1
                         self._recycle(block, credit)
                         self._abort_job(
@@ -999,7 +925,7 @@ class SourceLink:
                     job._count_resend()
                     block.resend()
                     block.sending()
-                    wr_id = self._new_wr_id()
+                    wr_id = self.plane.new_wr_id(self)
                     self._inflight[wr_id] = (job, block, credit, attempts, is_repair)
                     job._post_times[wr_id] = self.engine.now
                     yield from self._post_block(thread, job, block, credit, wr_id)
@@ -1138,7 +1064,7 @@ class SourceLink:
                 if msg.type is CtrlType.DATASET_DONE_ACK:
                     job.finished_at = self.engine.now
                     self._active_jobs -= 1
-                    self._release_lease(job)
+                    self.plane.release(job)
                     # The final cumulative ack: every repair copy is covered.
                     for seq in list(job.unacked):
                         blk = job.unacked.pop(seq)
@@ -1195,7 +1121,7 @@ class SourceLink:
             return
         attempts = job.nack_attempts.get(seq, 0) + 1
         job.nack_attempts[seq] = attempts
-        if attempts > self.config.max_block_resends:
+        if attempts > MAX_BLOCK_RESENDS:
             self._recycle(block, credit)
             self._abort_job(
                 job,
@@ -1211,7 +1137,7 @@ class SourceLink:
         block.nacked()  # WAITING → NACKED (Fig. 6 extension)
         block.reload()  # NACKED → LOADED: the local copy is still valid
         block.sending()
-        wr_id = self._new_wr_id()
+        wr_id = self.plane.new_wr_id(self)
         self._inflight[wr_id] = (job, block, credit, 0, True)
         job._post_times[wr_id] = self.engine.now
         yield from self._post_block(thread, job, block, credit, wr_id)
@@ -1274,17 +1200,7 @@ class SourceLink:
         # reclaimed here — the fallback pump re-reads straight from the
         # data source, and the sink's accept revokes every RDMA region,
         # so neither the copies nor their credits stay meaningful.
-        while job._loaded.items:
-            blk = job._loaded.items.popleft()
-            if blk is None:
-                continue
-            blk.scrap()
-            self.pool.put_free_blk(blk)
-        while job.unacked:
-            _seq, blk = job.unacked.popitem()
-            blk.scrap()
-            self.pool.put_free_blk(blk)
-        job.nack_attempts.clear()
+        self._scrap_held_blocks(job)
         if not job._halt.triggered:
             job._halt.succeed()
         self.engine.trace(
@@ -1363,10 +1279,7 @@ class SourceLink:
             # The whole remainder is queued on the TCP path; close out
             # with the ordinary completion handshake.  The ack watchdog
             # keeps retransmitting DATASET_DONE while the sink drains.
-            yield from self.ctrl.send(
-                thread, ControlMessage(CtrlType.DATASET_DONE, sid, job.total_bytes)
-            )
-            self.engine.process(self._ack_watchdog(job))
+            yield from self._send_dataset_done(thread, job)
             return
         yield from self._restore_rdma(thread, job, seq)
 
@@ -1419,14 +1332,9 @@ class SourceLink:
         job._next_load_seq = job.start_seq
         job._done_sent_at.clear()
         if job.blocks_to_send == 0:
-            yield from self.ctrl.send(
-                thread, ControlMessage(CtrlType.DATASET_DONE, sid, job.total_bytes)
-            )
-            self.engine.process(self._ack_watchdog(job))
+            yield from self._send_dataset_done(thread, job)
             return
-        for i in range(self.config.reader_threads):
-            self.engine.process(self._reader_thread(job, i))
-        self.engine.process(self._sender_thread(job))
+        self._start_rdma_threads(job, watchdog=False)
 
     def _fallback_stall_watchdog(self, job: TransferJob, stream) -> Generator:
         """A sink that dies *during* fallback must not hang the session:

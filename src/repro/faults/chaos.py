@@ -189,7 +189,7 @@ def run_chaos(
             holder["resume_attempts_used"] = attempts
             yield testbed.engine.timeout(resume_backoff)
             if link.data.alive_count == 0:
-                yield client.reopen_channel(link, testbed.dst_dev, port, cfg)
+                yield client.reopen_channel(link, testbed.dst_dev, port)
             sid = holder["error"].session_id
             try:
                 holder["outcome"] = yield client.resume(
@@ -328,7 +328,7 @@ def run_chaos(
 
     data_bytes_sent = 0
     if link is not None:
-        data_bytes_sent = sum(qp.bytes_sent.total for qp in link._all_data_qps)
+        data_bytes_sent = sum(qp.bytes_sent.total for qp in link.plane.qps)
 
     return ChaosResult(
         testbed=testbed.name,

@@ -273,7 +273,7 @@ def _run_sessions_per_host_case(total_files: int) -> dict:
     Runs the same small-file job mix twice on the WAN testbed — once with
     each door opening its own ``num_channels`` QPs and block pool
     (``use_srq=False``), once with every session leasing channels from
-    one shared :class:`HostChannelPool` whose receive side is an SRQ and
+    one shared :class:`~repro.core.channels.SharedDataPlane` whose receive side is an SRQ and
     whose small blocks ride the eager SEND path.  The gate asserts the
     scaling claims, then reports the pooled run's numbers as anchors:
 

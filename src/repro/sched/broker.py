@@ -207,13 +207,13 @@ class RftpDoor:
                     fault_injector=self.fault_injector,
                     tcp_factory=self.tcp_factory,
                 )
-                hp = getattr(self.link, "_host_pool", None)
-                if hp is not None:
-                    # Pooled link: the session cap is the host pool's real
-                    # lease capacity, not the configured constant.  Every
-                    # door on this (host, port) shares that one pool, so
+                cap = self.link.plane.lease_capacity
+                if cap is not None:
+                    # Shared plane: the session cap is its real lease
+                    # capacity, not the configured constant.  Every door
+                    # on this (host, port) shares that one plane, so
                     # admissible() below also checks live availability.
-                    self.max_sessions = hp.sessions.capacity
+                    self.max_sessions = cap
             return self.link
 
         return mw.engine.process(_open())
@@ -223,9 +223,8 @@ class RftpDoor:
         scheduler-level signal to prefer another door right now."""
         if self.link is None:
             return False
-        breakers = [
-            self.link._breakers.get(qp.qp_num) for qp in self.link.data.qps
-        ]
+        lookup = self.link.plane.breakers.get
+        breakers = [lookup(qp.qp_num) for qp in self.link.data.qps]
         if not breakers:
             return True  # no live channel at all
         return all(
@@ -239,11 +238,10 @@ class RftpDoor:
         cap = self.max_sessions if session_cap is None else session_cap
         if self.link is None or self.active >= cap:
             return False
-        hp = getattr(self.link, "_host_pool", None)
-        if hp is not None and hp.sessions.available <= 0:
-            # Doors to the same (host, port) share one host pool; the
-            # per-door cap alone could oversubscribe it and trip the
-            # synchronous lease-capacity error inside transfer().
+        if not self.link.plane.lease_available:
+            # Doors to the same (host, port) share one data plane; the
+            # per-door cap alone could oversubscribe its leases and trip
+            # the synchronous lease-capacity error inside transfer().
             return False
         if self.breaker is not None and not self.breaker.peek_admit(now):
             return False
@@ -715,28 +713,27 @@ class TransferBroker:
                 door.admissible(now) if cap is None
                 else door.admissible(now, session_cap=cap)
             )
-            if admissible:
-                hp = getattr(door.link, "_host_pool", None)
-                if hp is not None:
-                    # Dispatched-but-unfinished tasks on EVERY door
-                    # sharing this host pool each hold (or are about to
-                    # take, synchronously at transfer start) one channel
-                    # lease.  door.active is bumped at dispatch, before
-                    # the task's process first runs, so this aggregate
-                    # cannot race the way the pool's own live lease
-                    # count can — per-door caps alone oversubscribe the
-                    # shared pool and trip the lease-capacity error.
-                    inflight = sum(
-                        d.active for d in self.doors.values()
-                        if getattr(d.link, "_host_pool", None) is hp
-                    )
-                    if inflight >= hp.sessions.capacity:
-                        admissible = False
-            if admissible:
+            if admissible and not self._plane_full(door):
                 if i:
                     task.alt_cursor = (task.alt_cursor + i) % n
                 return door
         return None
+
+    def _plane_full(self, door: Any) -> bool:
+        """Would one more dispatch through ``door`` oversubscribe its
+        data plane's leases?  Each dispatched-but-unfinished task on any
+        door sharing the plane holds (or takes at transfer start) one;
+        ``door.active`` counts them from dispatch on, so this aggregate
+        cannot race the way the plane's live lease count can."""
+        plane = getattr(door.link, "plane", None)  # stub doors have none
+        cap = None if plane is None else plane.lease_capacity
+        if cap is None:
+            return False
+        inflight = sum(
+            d.active for d in self.doors.values()
+            if getattr(d.link, "plane", None) is plane
+        )
+        return inflight >= cap
 
     # -- brownout sampling -------------------------------------------------------
     def _observe_overload(self) -> None:
@@ -910,18 +907,7 @@ class TransferBroker:
             door.breaker.record_success()
             if self.overload is not None:
                 self.overload.note_success(task.job.tenant)
-            self._outstanding -= 1
-            metrics["files_finished"].add()
-            metrics["bytes_finished"].add(task.size)
-            metrics["latency"].observe(now - task.submitted_at)
-            self._journal_rec(
-                "finish", t=now, job_id=task.job.job_id, index=task.index,
-                door=door.name,
-            )
-            task.resolve(FileState.FINISHED, now, source_used=door.name)
-            self._finish_job(task.job)
-            for dup in task.duplicates:
-                self._finish_job(dup.job)
+            self._settle_task(task, now, door=door)
             self.engine.trace(
                 "sched", "file_finished", job=task.job.job_id,
                 path=task.path, door=door.name, attempts=task.attempts,
@@ -954,16 +940,7 @@ class TransferBroker:
                         job=task.job.job_id, path=task.path,
                         tenant=task.job.tenant,
                     )
-                self._outstanding -= 1
-                metrics["files_failed"].add()
-                self._journal_rec(
-                    "file_failed", t=now, job_id=task.job.job_id,
-                    index=task.index, error=reason,
-                )
-                task.resolve(FileState.FAILED, now, error=reason)
-                self._finish_job(task.job)
-                for dup in task.duplicates:
-                    self._finish_job(dup.job)
+                self._settle_task(task, now, error=reason)
             else:
                 self._park(task, self._retry_delay(task), state)
         self._notify_drain()
@@ -1180,7 +1157,6 @@ class TransferBroker:
                 continue  # e.g. an overdue deadline canceled it above
             job = task.job
             state = self._tenant(job.tenant)
-            metrics = self._metrics(job.tenant)
             door = self.doors.get(task.last_door or "")
             session_id = task.last_session
             task.recovered = True
@@ -1221,18 +1197,9 @@ class TransferBroker:
                 self._m_rec_resumed.add()
                 task.resumed_from = getattr(outcome, "resumed_from", 0)
                 door.breaker.record_success()
-                self._outstanding -= 1
-                metrics["files_finished"].add()
-                metrics["bytes_finished"].add(task.size)
-                metrics["latency"].observe(now - task.submitted_at)
-                self._journal_rec(
-                    "finish", t=now, job_id=job.job_id, index=task.index,
-                    door=door.name, resumed_from=task.resumed_from,
+                self._settle_task(
+                    task, now, door=door, resumed_from=task.resumed_from
                 )
-                task.resolve(FileState.FINISHED, now, source_used=door.name)
-                self._finish_job(job)
-                for dup in task.duplicates:
-                    self._finish_job(dup.job)
                 self.engine.trace(
                     "sched", "file_resumed", job=job.job_id, path=task.path,
                     session=session_id, resumed_from=task.resumed_from,
@@ -1251,20 +1218,9 @@ class TransferBroker:
                     error=type(error).__name__,
                 )
                 if task.attempts >= cfg.max_attempts:
-                    self._outstanding -= 1
-                    metrics["files_failed"].add()
-                    self._journal_rec(
-                        "file_failed", t=now, job_id=job.job_id,
-                        index=task.index,
-                        error=f"{type(error).__name__}: {error}",
+                    self._settle_task(
+                        task, now, error=f"{type(error).__name__}: {error}"
                     )
-                    task.resolve(
-                        FileState.FAILED, now,
-                        error=f"{type(error).__name__}: {error}",
-                    )
-                    self._finish_job(job)
-                    for dup in task.duplicates:
-                        self._finish_job(dup.job)
                 else:
                     # Fall back to a fresh attempt through dispatch.
                     task.state = FileState.SUBMITTED
@@ -1275,6 +1231,45 @@ class TransferBroker:
             self._notify_drain()
         self._recovering = False
         self._kick()
+
+    def _settle_task(
+        self,
+        task: FileTask,
+        now: float,
+        door: Optional[RftpDoor] = None,
+        error: Optional[str] = None,
+        **finish_fields: Any,
+    ) -> None:
+        """Terminal bookkeeping for a primary task: FINISHED through
+        ``door``, or FAILED with ``error``.
+
+        Drops the outstanding count, books the tenant's metrics, writes
+        the ``finish`` (plus ``finish_fields``) or ``file_failed``
+        journal record, resolves the task (its duplicates follow) and
+        closes out its job and every duplicate's job.
+        """
+        metrics = self._metrics(task.job.tenant)
+        self._outstanding -= 1
+        if error is None:
+            assert door is not None
+            metrics["files_finished"].add()
+            metrics["bytes_finished"].add(task.size)
+            metrics["latency"].observe(now - task.submitted_at)
+            self._journal_rec(
+                "finish", t=now, job_id=task.job.job_id, index=task.index,
+                door=door.name, **finish_fields,
+            )
+            task.resolve(FileState.FINISHED, now, source_used=door.name)
+        else:
+            metrics["files_failed"].add()
+            self._journal_rec(
+                "file_failed", t=now, job_id=task.job.job_id,
+                index=task.index, error=error,
+            )
+            task.resolve(FileState.FAILED, now, error=error)
+        self._finish_job(task.job)
+        for dup in task.duplicates:
+            self._finish_job(dup.job)
 
     def _finish_job(self, job: Job) -> None:
         if job.state.terminal and job.finished_at is None:

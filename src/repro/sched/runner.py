@@ -323,16 +323,16 @@ def quiescence_leaks(result: "SchedResult") -> List[str]:
             leaks.append(
                 f"dest owner for {path!r} non-terminal ({task.state.value})"
             )
-    seen_pools: set = set()
+    seen_planes: set = set()
     for name, door in sorted(broker.doors.items()):
-        hp = getattr(door.link, "_host_pool", None)
-        if hp is None or id(hp) in seen_pools:
-            continue  # dedicated-QP door, or a pool already audited
-        # Doors to the same (host, port) share one pool: audit it once.
-        seen_pools.add(id(hp))
-        if not hp.sessions.balanced:
+        if door.link is None or id(door.link.plane) in seen_planes:
+            continue  # never opened, or a shared plane already audited
+        # Doors to the same (host, port) may share one plane: audit once.
+        plane = door.link.plane
+        seen_planes.add(id(plane))
+        if plane.leased:
             leaks.append(
-                f"host pool via {name}: {hp.sessions.leased} channel "
+                f"data plane via {name}: {plane.leased} session "
                 f"leases never returned"
             )
     server = result.server

@@ -137,7 +137,7 @@ def test_eager_transfer_end_to_end():
         if row["metric"] == "srq.consumed"
     )
     assert consumed >= 16
-    hpool = next(iter(client._host_pools.values()))
+    hpool = next(iter(client.shared_planes.values()))
     assert hpool.sessions.balanced
 
 
@@ -145,7 +145,7 @@ def test_rendezvous_under_pool_end_to_end():
     c = cfg(eager_threshold=0)  # pool on, eager off
     tb, server, sink, client, out = run_transfer(c, 16 * BS)
     assert_delivery(sink, c, 16 * BS)
-    hpool = next(iter(client._host_pools.values()))
+    hpool = next(iter(client.shared_planes.values()))
     assert hpool.sessions.balanced
 
 
@@ -160,7 +160,7 @@ def test_disabled_pool_leaves_dedicated_path():
     c = cfg(use_srq=False)
     tb, server, sink, client, out = run_transfer(c, 8 * BS)
     assert_delivery(sink, c, 8 * BS)
-    assert not client._host_pools, "no host pool without use_srq"
+    assert not client.shared_planes, "no host pool without use_srq"
     assert server._srq is None
 
 
@@ -189,8 +189,8 @@ def test_concurrent_sessions_share_one_pool():
     tb.engine.run()
     assert p.triggered and p.ok, getattr(p, "value", "deadlock")
     assert sink.bytes_written == 6 * 8 * BS
-    hpool = next(iter(client._host_pools.values()))
-    assert len(client._host_pools) == 1
+    hpool = next(iter(client.shared_planes.values()))
+    assert len(client.shared_planes) == 1
     assert hpool.sessions.balanced, f"leaked: {hpool.sessions.leased}"
 
 
@@ -211,7 +211,7 @@ def test_lease_capacity_rejection_is_synchronous():
         yield a
         yield b
         # Both leases returned: a third session now fits.
-        assert link._host_pool.sessions.balanced
+        assert link.plane.sessions.balanced
         yield link.transfer(PatternSource(tb.src), 8 * BS, session_id=502)
 
     p = tb.engine.process(driver(tb.engine))
@@ -231,12 +231,12 @@ def test_abort_returns_lease():
     def driver(env):
         link = yield link_ev
         ev = link.transfer(PatternSource(tb.src), 64 * BS, session_id=600)
-        assert link._host_pool.sessions.leased == 1
+        assert link.plane.sessions.leased == 1
         yield env.timeout(1e-3)
         assert link.abort_session(
             600, TransferError(600, "canceled by test")
         )
-        assert link._host_pool.sessions.balanced, "abort leaked the lease"
+        assert link.plane.sessions.balanced, "abort leaked the lease"
         try:
             yield ev
         except TransferError:
@@ -261,10 +261,10 @@ def test_source_crash_returns_every_lease():
             link.transfer(PatternSource(tb.src), 32 * BS, session_id=700 + i)
             for i in range(3)
         ]
-        assert link._host_pool.sessions.leased == 3
+        assert link.plane.sessions.leased == 3
         yield env.timeout(1e-3)
         link.crash()
-        assert link._host_pool.sessions.balanced, "crash leaked leases"
+        assert link.plane.sessions.balanced, "crash leaked leases"
         for ev in evs:
             try:
                 yield ev

@@ -25,9 +25,9 @@ def test_doors_share_one_pool_and_derive_caps():
     assert result.audit_ok, result.audit_problems[:3]
     assert not result.leaks, result.leaks[:3]
     doors = list(result.broker.doors.values())
-    pools = {id(d.link._host_pool) for d in doors}
+    pools = {id(d.link.plane) for d in doors}
     assert len(pools) == 1, "same (host, port) must share one pool"
-    hp = doors[0].link._host_pool
+    hp = doors[0].link.plane
     # The cap is the pool's real capacity, not the spec's constant (4).
     assert all(d.max_sessions == hp.sessions.capacity for d in doors)
     assert hp.sessions.balanced
@@ -42,7 +42,7 @@ def test_admission_never_oversubscribes_the_shared_pool():
     result = run_sched(spec)
     assert result.all_finished
     assert not result.leaks, result.leaks[:3]
-    hp = next(iter(result.broker.doors.values())).link._host_pool
+    hp = next(iter(result.broker.doors.values())).link.plane
     assert result.broker.peak_active <= hp.sessions.capacity
     rejected = sum(
         row["value"] for row in result.testbed.engine.metrics.snapshot()
@@ -65,14 +65,14 @@ def test_deadline_cancel_returns_leases():
     )
     assert canceled > 0, "deadline never fired — test is vacuous"
     assert not result.leaks, result.leaks[:3]
-    hp = next(iter(result.broker.doors.values())).link._host_pool
+    hp = next(iter(result.broker.doors.values())).link.plane
     assert hp.sessions.balanced, f"leaked {hp.sessions.leased} leases"
 
 
 def test_quiescence_audit_flags_unreturned_lease():
     result = run_sched(srq_spec())
     assert not result.leaks
-    hp = next(iter(result.broker.doors.values())).link._host_pool
+    hp = next(iter(result.broker.doors.values())).link.plane
     hp.sessions.lease(("stuck", 1))
     leaks = quiescence_leaks(result)
     assert any("lease" in leak for leak in leaks), leaks
